@@ -8,8 +8,9 @@ Subcommands::
     zonoinv check      PROBLEM.json SOLUTION.json   certificate + simulation re-check
     zonoinv gen        --dim D --generators P  emit a random problem instance
 
-Exit codes: 0 success (solve: optimal; check: both checks pass), 2 infeasible
-problem, 1 anything else.
+Exit codes: 0 success (solve: optimal and certified; check: both checks
+pass), 2 infeasible problem, 1 anything else, including an optimum that fails
+its invariance certificate.
 """
 
 from __future__ import annotations
@@ -101,7 +102,11 @@ def _cmd_solve(args) -> int:
     result = solve_invariance(problem, options)
     _emit(result_to_dict(result), args.output)
     if result.status == OPTIMAL:
-        return 0
+        if result.certificate_ok:
+            return 0
+        print("solve reached optimality but failed the reach-set invariance certificate "
+              "(certificate_ok: false)", file=sys.stderr)
+        return 1
     if result.status == INFEASIBLE:
         return 2
     print(f"solve did not reach optimality: {result.status} ({result.message})", file=sys.stderr)

@@ -98,7 +98,11 @@ class ExperimentConfig:
 
 @dataclass
 class TrialRecord:
-    """One solved trial; ``zonotope`` is carried in memory only (not in CSV)."""
+    """One solved trial.
+
+    ``zonotope`` and ``error`` (the ``repr`` of the exception on ``error``
+    rows) are carried in memory only, not in the CSV.
+    """
 
     dim: int
     n_generators: int
@@ -112,6 +116,7 @@ class TrialRecord:
     wall_time: float
     certificate_ok: bool | None
     zonotope: Zonotope | None = None
+    error: str | None = None
 
 
 def config_from_dict(raw: dict, context: str = "config") -> ExperimentConfig:
@@ -197,11 +202,11 @@ def _run_one(task) -> TrialRecord:
     try:
         problem = make_trial(spec, kind, objective)
         result = solve_invariance(problem, config.options())
-    except Exception:  # record the failure, never abort the batch
+    except Exception as exc:  # record the failure, never abort the batch
         return TrialRecord(
             dim=row.dim, n_generators=row.n_generators, method=method, trial=trial,
             seed=seed, status="error", volume=None, objective_value=None,
-            iterations=0, wall_time=0.0, certificate_ok=None,
+            iterations=0, wall_time=0.0, certificate_ok=None, error=repr(exc),
         )
     return TrialRecord(
         dim=row.dim, n_generators=row.n_generators, method=method, trial=trial,

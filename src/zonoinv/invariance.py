@@ -127,9 +127,16 @@ class VariableLayout:
 
     ``center`` and ``free`` always exist; the triangular parameterization adds
     ``aux0`` (off-diagonal absolute values at t = 0) and ``lifted`` (the
-    ``M_t`` blocks for t >= 1).  ``elim_blocks`` lists, for the Newton solver,
-    groups of lifted variables whose Hessian block is mutually independent:
-    one group per (t, state row), each of size d.
+    ``M_t`` blocks for t >= 1).
+
+    ``elim_blocks`` lists, for the Newton solver, one group of lifted
+    variables per (t, state row i): the d entries ``M_t[i, :]``.
+    ``block_rows`` is aligned with it and names the only rows of ``C`` that
+    touch the group, as a (d + 1, 2) array.  Row pair j < d holds the two
+    aux rows of ``M_t[i, j]`` (coefficient -1 on that entry and on no other
+    entry of the group); pair d holds the lower and upper box rows of (t, i)
+    (coefficient +1 on every entry of the group).  So the group's barrier
+    Hessian is diagonal plus rank one, and groups share no row.
     """
 
     kind: str
@@ -143,6 +150,7 @@ class VariableLayout:
     aux0: slice | None = None
     lifted: slice | None = None
     elim_blocks: tuple = ()
+    block_rows: tuple = ()
     parameterization: object = None
 
     def decode(self, z) -> dict:
@@ -336,6 +344,10 @@ def assemble_utpd(problem: InvarianceProblem) -> LinearInequalitySystem:
     # Column positions of the packed entries in column j: G[0..j, j].
     g_cols_by_col = [g_off + tri_offsets[: j + 1] + (j - np.arange(j + 1)) for j in range(d)]
 
+    # Elimination block (t, i) holds M_t[i, :]; its rows are the aux-row
+    # pairs of its entries, then its lower and upper box rows.
+    blocks: list[np.ndarray] = []
+    block_rows: list[np.ndarray] = []
     row_base = 3 * d + d * (d - 1)
     for t in range(1, T + 1):
         pt = powers[t]
@@ -360,6 +372,12 @@ def assemble_utpd(problem: InvarianceProblem) -> LinearInequalitySystem:
         put(np.repeat(box_base + d + idx, d), all_m, np.ones(d * d))
         b[box_base:box_base + d] = drifts[t] - lo
         b[box_base + d:box_base + 2 * d] = up - drifts[t]
+        plus_rows = aux_base + 2 * np.arange(d * d).reshape(d, d)   # [i, j]: r_plus of M_t[i, j]
+        rows_t = np.empty((d, d + 1, 2), dtype=np.intp)
+        rows_t[:, :d, 0], rows_t[:, :d, 1] = plus_rows, plus_rows + 1
+        rows_t[:, d, 0], rows_t[:, d, 1] = box_base + idx, box_base + d + idx
+        block_rows.extend(rows_t)
+        blocks.extend(m_cols + np.arange(d * d, dtype=np.intp).reshape(d, d))
         row_base = box_base + 2 * d
 
     assert row_base == m
@@ -367,17 +385,12 @@ def assemble_utpd(problem: InvarianceProblem) -> LinearInequalitySystem:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(m, n)
     ).tocsr()
 
-    blocks = tuple(
-        np.arange(m_off + (t - 1) * d * d + i * d, m_off + (t - 1) * d * d + i * d + d, dtype=np.intp)
-        for t in range(1, T + 1)
-        for i in range(d)
-    )
     layout = VariableLayout(
         kind="utpd", dim=d, n_generators=d, horizon=T, n=n, m=m,
         center=slice(0, d), free=slice(g_off, g_off + n_g),
         aux0=slice(aux0_off, aux0_off + n_aux0) if n_aux0 else slice(aux0_off, aux0_off),
         lifted=slice(m_off, n) if T else None,
-        elim_blocks=blocks, parameterization=param,
+        elim_blocks=tuple(blocks), block_rows=tuple(block_rows), parameterization=param,
     )
     mul_count = T * d**3 + T * d * d * (d + 1)
     return LinearInequalitySystem(c_mat, b, layout, mul_count)

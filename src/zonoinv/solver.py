@@ -8,11 +8,16 @@ A stage is converged when half the squared Newton decrement drops below a
 tolerance, and the outer loop stops at the first stage with
 ``m * mu < gap_tol`` (the standard barrier duality-gap bound).
 
-Newton systems are solved densely by Cholesky; for the lifted
-triangular-parameterization systems the auxiliary-variable blocks (whose
-barrier Hessian is block diagonal, one small block per time step and state
-row) are eliminated first by a Schur complement, which reduces the dense
-solve from thousands of variables to the d + d^2 "kept" ones.
+Newton systems are solved by Cholesky.  For the lifted
+triangular-parameterization systems the lifted variables are eliminated
+first: the layout records, for each (time step, state row) block of d
+lifted variables, the rows that touch it (one aux-row pair per variable and
+one box-row pair shared by all of them), so the block's barrier Hessian is
+diagonal plus rank one and Sherman-Morrison inverts it in O(d).  The Schur
+complement onto the center, the packed triangle and the t = 0 auxiliaries
+(about d^2 "kept" variables instead of thousands) is then formed in closed
+form from the recorded rows; phase 1's extra variable is one more kept
+column.
 
 Phase 1 first tries a caller-provided warm-start point; if some slack is
 below the strict-feasibility margin it maximizes ``-s`` subject to
@@ -160,135 +165,186 @@ class EmbeddedObjective:
 
 
 class _KKTSolver:
-    """Newton-system solver ``H delta = r`` with optional block elimination.
+    """Newton-system solver ``H delta = r`` for ``H = C^T diag(D) C - hess_f``.
 
-    ``H = -hess_f + C^T diag(D) C`` is positive definite on strictly feasible
-    points (the constraint matrix has full column rank by construction).  When
-    ``blocks`` is nonempty, those variable groups are pairwise uncoupled in
-    ``H`` and are eliminated by a Schur complement onto the kept variables.
+    ``H`` is positive definite at strictly feasible points (the constraint
+    matrix has full column rank by construction).  Without elimination
+    blocks ``C`` is dense and ``H`` is formed whole and factored by Cholesky.
+
+    With blocks (the lifted triangular systems), the variables of block b
+    appear only in its recorded rows (``VariableLayout.block_rows``): pair
+    j < d holds -1 on variable j, the last pair holds +1 on every variable.
+    So ``H_bb = diag(a) + beta 11^T``, with ``a_j`` the sum of D over pair j
+    and ``beta`` the sum over the last pair, and Sherman-Morrison applies its
+    inverse in O(d).  Variable j couples to the kept variables through
+    ``c - g_j``, where ``g_j`` and ``c`` are the D-weighted sums of the kept
+    coefficients of pair j and of the last pair.  Each pair touches a few
+    kept columns (its support), so the Schur complement onto the kept
+    variables is formed in closed form and scattered in one ``bincount``:
+    ``C_0^T D_0 C_0`` over the rows outside every block, a small dense term
+    per pair over its support, and the rank-one coupling between the pairs
+    of each block (Boyd & Vandenberghe, *Convex Optimization*, App. C.4:
+    block elimination with the matrix inversion lemma).  Construction checks
+    once that the block columns of ``C`` are exactly that pattern.
     """
 
-    def __init__(self, c_matrix, n: int, blocks: tuple, free_idx: np.ndarray):
+    def __init__(self, c_matrix, n: int, blocks: tuple, block_rows: tuple, free_idx: np.ndarray):
         self.C = c_matrix
-        self.dense = isinstance(c_matrix, np.ndarray)
         self.n = n
-        self.blocks = blocks
-        if blocks:
-            sizes = {len(b) for b in blocks}
-            if len(sizes) != 1:
-                raise ValueError("elimination blocks must share one size")
-            self.blk = int(sizes.pop())
-            self.n_blocks = len(blocks)
-            is_elim = np.zeros(n, dtype=bool)
-            block_id = np.full(n, -1, dtype=np.intp)
-            pos_in_block = np.zeros(n, dtype=np.intp)
-            for bi, idx in enumerate(blocks):
-                is_elim[idx] = True
-                block_id[idx] = bi
-                pos_in_block[idx] = np.arange(len(idx))
-            self.is_elim = is_elim
-            self.block_id = block_id
-            self.pos_in_block = pos_in_block
-            self.kept_idx = np.flatnonzero(~is_elim)
-            self.elim_idx = np.concatenate(blocks)
-            kept_pos = np.full(n, -1, dtype=np.intp)
-            kept_pos[self.kept_idx] = np.arange(self.kept_idx.size)
-            self.kept_pos = kept_pos
-            if np.any(kept_pos[free_idx] < 0):
-                raise ValueError("objective variables must not be eliminated")
-            self.free_kept = kept_pos[free_idx]
-        else:
-            self.kept_idx = np.arange(n, dtype=np.intp)
+        self.n_blocks = len(blocks)
+        if not blocks:
+            self.kept = np.arange(n, dtype=np.intp)
             self.free_kept = np.asarray(free_idx, dtype=np.intp)
+            return
+
+        self.blocks = np.array(blocks, dtype=np.intp)               # (B, d)
+        rows = np.array(block_rows, dtype=np.intp)                  # (B, d + 1, 2)
+        n_blocks, blk = self.blocks.shape
+        if rows.shape != (n_blocks, blk + 1, 2):
+            raise ValueError("block_rows must hold d + 1 row pairs per elimination block")
+        if np.unique(self.blocks).size != self.blocks.size or np.unique(rows).size != rows.size:
+            raise ValueError("elimination blocks must not share variables or rows")
+        c_matrix = scipy.sparse.csr_matrix(c_matrix)
+        m = c_matrix.shape[0]
+        col = np.arange(n_blocks * blk).reshape(n_blocks, blk)
+        pair_r, pair_c = np.broadcast_arrays(rows[:, :blk, :], col[:, :, np.newaxis])
+        box_r, box_c = np.broadcast_arrays(rows[:, blk, :, np.newaxis], col[:, np.newaxis, :])
+        expected = scipy.sparse.csr_matrix(
+            (np.r_[-np.ones(pair_r.size), np.ones(box_r.size)],
+             (np.r_[pair_r.ravel(), box_r.ravel()], np.r_[pair_c.ravel(), box_c.ravel()])),
+            shape=(m, n_blocks * blk),
+        )
+        if (c_matrix[:, self.blocks.ravel()] != expected).nnz:
+            raise ValueError("elimination blocks are coupled: block columns of C do not match the recorded rows")
+
+        is_kept = np.ones(n, dtype=bool)
+        is_kept[self.blocks] = False
+        self.kept = np.flatnonzero(is_kept)
+        n_keep = self.kept.size
+        kept_pos = np.full(n, -1, dtype=np.intp)
+        kept_pos[self.kept] = np.arange(n_keep)
+        self.free_kept = kept_pos[free_idx]
+        if np.any(self.free_kept < 0):
+            raise ValueError("objective variables must not be eliminated")
+        c_kept = c_matrix[:, self.kept]
+        stride = n_keep + 1              # Schur entries are scattered into (n_keep + 1)^2
+
+        # C_0^T D_0 C_0 as one term per pair of stored entries in a row outside the blocks.
+        outside = np.ones(m, dtype=bool)
+        outside[rows.ravel()] = False
+        rows0 = np.flatnonzero(outside)
+        c0 = c_kept[rows0]
+        per_row = np.diff(c0.indptr)
+        entry_row = np.repeat(np.arange(c0.shape[0]), per_row)
+        sizes = per_row[entry_row]
+        left = np.repeat(np.arange(c0.nnz), sizes)
+        right = c0.indptr[entry_row[left]] + np.arange(left.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        self.gram_rows = rows0[entry_row[left]]
+        self.gram_vals = c0.data[left] * c0.data[right]
+
+        # Row pair g of every block: (d + 1, 2B), first rows then second rows.
+        # Its kept coefficients are stored densely over the pair's support,
+        # padded with the dummy column n_keep.
+        self.pair_rows = rows.transpose(1, 2, 0).reshape(blk + 1, 2 * n_blocks)
+        supports = [np.unique(c_kept[r].indices) for r in self.pair_rows]
+        width = max(s.size for s in supports)
+        self.support = np.full((blk + 1, width), n_keep, dtype=np.intp)
+        self.coef = np.zeros((blk + 1, 2 * n_blocks, width))
+        for g, (r, s) in enumerate(zip(self.pair_rows, supports)):
+            self.support[g, : s.size] = s
+            self.coef[g, :, : s.size] = c_kept[r][:, s].toarray()
+        self.coef_t = np.ascontiguousarray(self.coef.transpose(0, 2, 1))
+        # Kept columns touched by the variable pairs, and the slot of each
+        # padded support entry of each block in a (B, |cross| + 1) array.
+        self.cross = np.setdiff1d(self.support[:blk], [n_keep])
+        slots = np.searchsorted(self.cross, self.support[:blk])
+        self.cross_flat = (
+            np.arange(n_blocks)[np.newaxis, :, np.newaxis] * (self.cross.size + 1) + slots[:, np.newaxis, :]
+        ).ravel()
+        box = self.support[-1]
+        # Flat targets in (n_keep + 1)^2 of the Schur terms, in the order
+        # ``_solve`` concatenates their values.
+        self.schur_flat = np.concatenate([
+            c0.indices[left] * stride + c0.indices[right],
+            (self.support[:, :, np.newaxis] * stride + self.support[:, np.newaxis, :]).ravel(),
+            (self.cross[:, np.newaxis] * stride + self.cross).ravel(),
+            (self.cross[:, np.newaxis] * stride + box).ravel(),
+            (self.cross[:, np.newaxis] + box * stride).ravel(),
+        ])
 
     def step(self, d_row: np.ndarray, neg_hess_free: np.ndarray, rhs: np.ndarray, reg_floor: float):
         """Solve ``H delta = rhs``; returns (delta, rhs . delta).
 
-        Retries once with a diagonal shift if a Cholesky factorization fails,
+        Retries once with a diagonal shift of ``reg_floor * (1 + peak)``,
+        ``peak`` the largest entry of ``C^T D C``, if a factorization fails,
         then raises :class:`numpy.linalg.LinAlgError`.
         """
-        if self.dense:
-            h = (self.C * d_row[:, np.newaxis]).T @ self.C
-            h[np.ix_(self.free_kept, self.free_kept)] += neg_hess_free
-            peak = float(np.abs(h).max(initial=1.0))
-            shift = 0.0
-            for attempt in range(2):
-                try:
-                    if shift:
-                        h[np.diag_indices_from(h)] += shift
-                    factor = scipy.linalg.cho_factor(h, lower=True, check_finite=False)
-                    delta = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-                    return delta, float(rhs @ delta)
-                except np.linalg.LinAlgError:
-                    if attempt == 1:
-                        raise
-                    shift = reg_floor * (1.0 + peak)
-
-        sqrt_d = np.sqrt(d_row)
-        weighted = self.C.multiply(sqrt_d[:, np.newaxis]).tocsr()
-        h_sparse = (weighted.T @ weighted).tocoo()
         shift = 0.0
         for attempt in range(2):
             try:
-                delta = self._solve_structured(h_sparse, neg_hess_free, rhs, shift)
+                delta = self._solve(d_row, neg_hess_free, rhs, shift)
                 return delta, float(rhs @ delta)
             except np.linalg.LinAlgError:
                 if attempt == 1:
                     raise
-                peak = float(h_sparse.data.max(initial=1.0))
-                shift = reg_floor * (1.0 + peak)
+                # C^T D C is positive semidefinite: its largest entry is on the diagonal.
+                squares = self.C.power(2) if scipy.sparse.issparse(self.C) else self.C**2
+                shift = reg_floor * (1.0 + float(np.max(squares.T @ d_row, initial=1.0)))
 
-    def _solve_structured(self, h_sparse, neg_hess_free, rhs, shift):
-        if not self.blocks:
-            h = h_sparse.toarray()
-            h[np.ix_(self.free_kept, self.free_kept)] += neg_hess_free
-            if shift:
-                h[np.diag_indices_from(h)] += shift
-            factor = scipy.linalg.cho_factor(h, lower=True, check_finite=False)
-            return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    def _solve(self, d_row, neg_hess_free, rhs, shift):
+        if not self.n_blocks:
+            h = (self.C * d_row[:, np.newaxis]).T @ self.C
+            r_kept = rhs
+        else:
+            n_b, n_keep = self.n_blocks, self.kept.size
+            d_pair = d_row[self.pair_rows]
+            a = d_pair[:-1, :n_b] + d_pair[:-1, n_b:] + shift     # (d, B)
+            if not np.all(a > 0.0):
+                raise np.linalg.LinAlgError("elimination block is not positive definite")
+            beta = d_pair[-1, :n_b] + d_pair[-1, n_b:]
+            ell = 1.0 / a
+            rho = 1.0 / (1.0 + beta * ell.sum(axis=0))
+            sigma = beta * rho
 
-        n_keep, n_blocks, blk = self.kept_idx.size, self.n_blocks, self.blk
-        rows, cols, vals = h_sparse.row, h_sparse.col, h_sparse.data
-        r_elim = self.is_elim[rows]
-        c_elim = self.is_elim[cols]
+            def inverse(r):  # H_bb^-1 = diag(ell) - sigma ell ell^T, every block at once
+                return ell * (r - sigma * (ell * r).sum(axis=0))
 
-        h_kept = np.zeros((n_keep, n_keep))
-        mask = ~r_elim & ~c_elim
-        h_kept[self.kept_pos[rows[mask]], self.kept_pos[cols[mask]]] = vals[mask]
-        h_kept[np.ix_(self.free_kept, self.free_kept)] += neg_hess_free
+            weighted = d_pair[:, :, np.newaxis] * self.coef
+            pair_sum = weighted[:, :n_b] + weighted[:, n_b:]      # g_j for j < d, then c
+            lam = np.vstack([ell, ell.sum(axis=0) * rho])
+            pair_terms = self.coef_t @ weighted - pair_sum.transpose(0, 2, 1) @ (lam[:, :, np.newaxis] * pair_sum)
+            w = np.bincount(self.cross_flat, (ell[:, :, np.newaxis] * pair_sum[:-1]).ravel(),
+                            minlength=n_b * (self.cross.size + 1)).reshape(n_b, -1)[:, :-1]
+            mixed = (w.T @ (rho[:, np.newaxis] * pair_sum[-1])).ravel()
+            values = np.concatenate([
+                d_row[self.gram_rows] * self.gram_vals,
+                pair_terms.ravel(),
+                (w.T @ (sigma[:, np.newaxis] * w)).ravel(),
+                mixed,
+                mixed,
+            ])
+            h = np.bincount(self.schur_flat, values, minlength=(n_keep + 1) ** 2)
+            h = h.reshape(n_keep + 1, n_keep + 1)[:n_keep, :n_keep]
 
-        h_blocks = np.zeros((n_blocks, blk, blk))
-        mask = r_elim & c_elim
-        if np.any(self.block_id[rows[mask]] != self.block_id[cols[mask]]):
-            raise AssertionError("elimination blocks are coupled; layout plan is wrong")
-        h_blocks[self.block_id[rows[mask]], self.pos_in_block[rows[mask]], self.pos_in_block[cols[mask]]] = vals[mask]
+            r_blocks = rhs[self.blocks.T]                         # (d, B)
+            y = inverse(r_blocks)
+            scale = np.vstack([y, -y.sum(axis=0)])
+            r_kept = rhs[self.kept] + np.bincount(
+                self.support.ravel(), np.einsum("gb,gbs->gs", scale, pair_sum).ravel(), minlength=n_keep + 1
+            )[:n_keep]
 
-        coupling = np.zeros((n_keep, n_blocks, blk))
-        mask = ~r_elim & c_elim
-        coupling[self.kept_pos[rows[mask]], self.block_id[cols[mask]], self.pos_in_block[cols[mask]]] = vals[mask]
-
+        h[np.ix_(self.free_kept, self.free_kept)] += neg_hess_free
         if shift:
-            h_kept[np.diag_indices(n_keep)] += shift
-            h_blocks[:, np.arange(blk), np.arange(blk)] += shift
+            h[np.diag_indices_from(h)] += shift
+        factor = scipy.linalg.cho_factor(h, lower=True, check_finite=False)
+        delta_kept = scipy.linalg.cho_solve(factor, r_kept, check_finite=False)
+        if not self.n_blocks:
+            return delta_kept
 
-        np.linalg.cholesky(h_blocks)  # positive-definiteness gate for every block
-        inv_times_coupling = np.linalg.solve(h_blocks, coupling.transpose(1, 2, 0))  # (B, blk, n_keep)
-        schur = h_kept - coupling.reshape(n_keep, -1) @ inv_times_coupling.reshape(-1, n_keep)
-
-        r_kept = rhs[self.kept_idx]
-        r_blocks = rhs[self.elim_idx].reshape(n_blocks, blk)
-        u = np.linalg.solve(h_blocks, r_blocks[:, :, np.newaxis])[:, :, 0]
-        reduced = r_kept - coupling.reshape(n_keep, -1) @ u.ravel()
-
-        factor = scipy.linalg.cho_factor(schur, lower=True, check_finite=False)
-        delta_kept = scipy.linalg.cho_solve(factor, reduced, check_finite=False)
-
-        back = np.tensordot(delta_kept, coupling, axes=(0, 0))  # (B, blk)
-        delta_blocks = np.linalg.solve(h_blocks, (r_blocks - back)[:, :, np.newaxis])[:, :, 0]
-
+        proj = np.einsum("gbs,gs->gb", pair_sum, np.append(delta_kept, 0.0)[self.support])
         delta = np.empty(self.n)
-        delta[self.kept_idx] = delta_kept
-        delta[self.elim_idx] = delta_blocks.ravel()
+        delta[self.kept] = delta_kept
+        delta[self.blocks.T] = inverse(r_blocks - (proj[-1] - proj[:-1]))
         return delta
 
 
@@ -360,12 +416,11 @@ def maximize(
     if np.min(slacks) <= 0.0:
         raise DomainError("x0 is not strictly feasible")
 
-    # Small systems without elimination blocks run on dense BLAS; sparse
-    # algebra only pays off for the lifted triangular systems.
-    c_op = system.C
-    if not system.layout.elim_blocks and system.C.shape[0] * system.C.shape[1] <= 500_000:
-        c_op = system.C.toarray()
-    kkt = _KKTSolver(c_op, system.layout.n, tuple(system.layout.elim_blocks), objective.free_idx)
+    # Systems without elimination blocks have dense rows and run on dense
+    # BLAS; sparse algebra only pays off for the lifted triangular systems.
+    c_op = system.C if system.layout.elim_blocks else system.C.toarray()
+    layout = system.layout
+    kkt = _KKTSolver(c_op, layout.n, layout.elim_blocks, layout.block_rows, objective.free_idx)
     counters = {"iterations": 0, "kkt": kkt}
     stage_objectives: list[float] = []
     mu = options.mu0
@@ -444,7 +499,7 @@ def _phase1_system(system: LinearInequalitySystem) -> LinearInequalitySystem:
         kind="phase1", dim=system.layout.dim, n_generators=system.layout.n_generators,
         horizon=system.layout.horizon, n=n + 1, m=m + 1,
         center=slice(0, 0), free=slice(n, n + 1),
-        elim_blocks=tuple(system.layout.elim_blocks),
+        elim_blocks=system.layout.elim_blocks, block_rows=system.layout.block_rows,
     )
     return LinearInequalitySystem(c_aux, b_aux, layout, system.assembly_mul_count)
 

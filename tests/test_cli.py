@@ -54,6 +54,17 @@ class TestSolve:
         assert on_disk["status"] == "optimal"
         assert on_disk["zonotope"] == payload["zonotope"]
 
+    def test_uncertified_optimum_exit_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("zonoinv.solver.check_invariance_certificate", lambda *args, **kwargs: False)
+        path = tmp_path / "p.json"
+        write_json(path, feasible_problem_dict())
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["status"] == "optimal"
+        assert payload["certificate_ok"] is False
+        assert "invariance certificate" in err
+
     def test_infeasible_exit_two(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         write_json(path, infeasible_problem_dict())

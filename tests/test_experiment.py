@@ -130,6 +130,7 @@ class TestRunExperiment:
         assert all(r.status == "optimal" for r in records)
         assert all(r.certificate_ok is True for r in records)
         assert all(r.volume > 0 for r in records)
+        assert all(r.error is None for r in records)
 
     def test_seeds_recorded(self, records):
         for r in records:
@@ -160,6 +161,23 @@ class TestRunExperiment:
         run_experiment(small_config(grid=[[2, 3, 1]], methods=["sfg+lgv"]), log=lines.append)
         assert len(lines) == 1
         assert "sfg+lgv" in lines[0] and "optimal" in lines[0]
+
+    def test_error_rows_keep_the_exception_text(self, monkeypatch, tmp_path):
+        def broken_trial(*args, **kwargs):
+            raise RuntimeError("no instance")
+
+        monkeypatch.setattr("zonoinv.experiment.make_trial", broken_trial)
+        config = small_config(grid=[[2, 3, 1]], methods=["sfg+lgv"])
+        lines = []
+        records = run_experiment(config, log=lines.append)
+        assert [r.status for r in records] == ["error"]
+        assert records[0].error == "RuntimeError('no instance')"
+        assert lines == ["[1/1] (2,3) sfg+lgv trial 0: error"]
+        paths = write_outputs(config, records, tmp_path / "out")
+        with open(paths["trials"], newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == list(CSV_COLUMNS)
+        assert "no instance" not in open(paths["trials"]).read()
 
     def test_volume_ordering_within_trials(self, records):
         # Maximizing log-volume dominates maximizing the scale sum on the

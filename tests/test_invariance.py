@@ -207,6 +207,24 @@ class TestAssembleUtpd:
         assert len(layout.elim_blocks) == 30 * 3
         assert all(len(block) == 3 for block in layout.elim_blocks)
 
+    def test_block_rows_are_the_only_rows_of_each_block(self):
+        # Pair j < d holds -1 on entry j of M_t[i, :]; the last pair (the
+        # box rows of (t, i)) holds +1 on every entry; no other row touches it.
+        rng = np.random.default_rng(6)
+        d, T = 3, 4
+        problem = InvarianceProblem(random_stable_system(rng, d), unit_box(d), T, UtpdParameterization(d), "lgv")
+        system = assemble_utpd(problem)
+        dense = system.dense()
+        layout = system.layout
+        assert len(layout.block_rows) == len(layout.elim_blocks) == T * d
+        for cols, rows in zip(layout.elim_blocks, layout.block_rows):
+            assert rows.shape == (d + 1, 2)
+            expected = np.zeros((system.shape[0], d))
+            for j in range(d):
+                expected[rows[j], j] = -1.0
+            expected[rows[d]] = 1.0
+            assert np.array_equal(dense[:, cols], expected)
+
     def test_horizon_zero_has_no_lifted_block(self):
         sys_ = AffineSystem(0.5 * np.eye(2), np.zeros(2))
         problem = InvarianceProblem(sys_, unit_box(2), 0, UtpdParameterization(2), "lgv")

@@ -15,6 +15,8 @@ from zonoinv.solver import (
     OPTIMAL,
     EmbeddedObjective,
     SolverOptions,
+    _KKTSolver,
+    _phase1_system,
     kkt_residual,
     maximize,
     phase1_feasible_point,
@@ -219,6 +221,83 @@ class TestMaximize:
         problem = make_problem([[0.5]], [0.0], unit_box(1), 10, SfgParameterization([[1.0]]), "lgv")
         result = solve_invariance(problem)
         assert result.iterations > 0
+
+
+def lifted_system(d, horizon, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    a *= 0.8 / np.max(np.abs(np.linalg.eigvals(a)))
+    problem = make_problem(a, 0.05 * rng.standard_normal(d), unit_box(d), horizon, UtpdParameterization(d), "lgv")
+    return assemble(problem)
+
+
+def solver_for(system, free_idx):
+    layout = system.layout
+    return _KKTSolver(system.C, layout.n, layout.elim_blocks, layout.block_rows, free_idx)
+
+
+class TestStructuredNewtonStep:
+    """The closed-form block elimination against a dense solve of the full
+    ``H = C^T diag(D) C - hess_f``."""
+
+    def systems(self):
+        for d, horizon in [(1, 1), (1, 4), (3, 1), (3, 5), (4, 3)]:
+            main = lifted_system(d, horizon, seed=10 * d + horizon)
+            free = np.arange(main.layout.free.start, main.layout.free.stop)
+            yield main, free
+            yield _phase1_system(main), np.array([main.layout.n])
+
+    @staticmethod
+    def dense_matrix(system, d_row, neg_hess, free):
+        c = system.dense()
+        h = (c * d_row[:, np.newaxis]).T @ c
+        h[np.ix_(free, free)] += neg_hess
+        return h
+
+    def test_matches_dense_solve(self):
+        rng = np.random.default_rng(3)
+        for system, free in self.systems():
+            assert system.layout.elim_blocks
+            m, n = system.shape
+            d_row = np.exp(rng.uniform(-4.0, 4.0, m))
+            q = rng.standard_normal((free.size, free.size))
+            neg_hess = 0.1 * q @ q.T
+            rhs = rng.standard_normal(n)
+            delta, dec_sq = solver_for(system, free).step(d_row, neg_hess, rhs, 1e-10)
+            expected = np.linalg.solve(self.dense_matrix(system, d_row, neg_hess, free), rhs)
+            assert np.linalg.norm(delta - expected) <= 1e-10 * np.linalg.norm(expected)
+            assert dec_sq == pytest.approx(rhs @ expected, rel=1e-10)
+
+    def test_shifted_retry_matches_dense_solve(self):
+        # An indefinite objective term makes the first factorization fail;
+        # the retry solves H + shift I with shift = reg_floor (1 + peak).
+        rng = np.random.default_rng(4)
+        reg_floor = 1.0
+        for system, free in self.systems():
+            m, n = system.shape
+            d_row = np.exp(rng.uniform(-2.0, 2.0, m))
+            c = system.dense()
+            gram_diag = np.diag((c * d_row[:, np.newaxis]).T @ c)
+            peak = float(np.max(gram_diag))
+            # Below zero at a free coordinate, yet smaller than the shift.
+            neg_hess = -(np.max(gram_diag[free]) + 0.5) * np.eye(free.size)
+            h = self.dense_matrix(system, d_row, neg_hess, free)
+            assert np.linalg.eigvalsh(h).min() < 0.0
+            rhs = rng.standard_normal(n)
+            delta, _ = solver_for(system, free).step(d_row, neg_hess, rhs, reg_floor)
+            expected = np.linalg.solve(h + reg_floor * (1.0 + peak) * np.eye(n), rhs)
+            assert np.linalg.norm(delta - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_rejects_blocks_sharing_a_row(self):
+        system = lifted_system(3, 2, seed=5)
+        layout = system.layout
+        free = np.arange(layout.free.start, layout.free.stop)
+        edited = system.C.tolil()
+        # An aux row of block 0 now also touches a variable of block 1.
+        edited[layout.block_rows[0][0, 0], layout.elim_blocks[1][0]] = -1.0
+        with pytest.raises(ValueError, match="coupled"):
+            _KKTSolver(edited.tocsr(), layout.n, layout.elim_blocks, layout.block_rows, free)
+        solver_for(system, free)  # the unedited system is accepted
 
 
 class TestKktResidual:
