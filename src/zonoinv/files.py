@@ -9,6 +9,7 @@ where a generated instance came from.  All parsing errors raise
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -126,15 +127,8 @@ def problem_to_dict(
         "objective": problem.objective,
     }
     if options is not None:
-        payload["options"] = {
-            name: getattr(options, name)
-            for name in (
-                "mu0", "mu_factor", "gap_tol", "max_newton", "backtrack",
-                "armijo", "reg_floor", "newton_tol", "kkt_tol", "phase1_margin",
-            )
-        }
-        if options.time_limit is not None:
-            payload["options"]["time_limit"] = options.time_limit
+        # Every SolverOptions field but an unset time_limit, which from_dict restores to None.
+        payload["options"] = {name: value for name, value in asdict(options).items() if value is not None}
     if seed is not None:
         payload["seed"] = int(seed)
     return payload

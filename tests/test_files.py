@@ -1,6 +1,8 @@
 """Tests for the JSON file formats: round trips and schema errors that name
 the offending field."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -101,9 +103,17 @@ class TestProblemRoundTrip:
         assert np.array_equal(problem.system.w, np.zeros(2))
 
     def test_time_limit_survives(self):
-        raw = problem_to_dict(sample_problem(), options=SolverOptions(time_limit=3.5))
-        _, options, _ = problem_from_dict(raw)
-        assert options.time_limit == 3.5
+        # With time_limit set, every SolverOptions field is written and read back.
+        options = SolverOptions(time_limit=3.5)
+        raw = problem_to_dict(sample_problem(), options=options)
+        assert set(raw["options"]) == {f.name for f in fields(SolverOptions)}
+        _, back, _ = problem_from_dict(raw)
+        assert back == options
+        assert back.time_limit == 3.5 and back.mu_factor == SolverOptions().mu_factor
+        # An unset time limit is left out and comes back as None.
+        raw = problem_to_dict(sample_problem(), options=SolverOptions())
+        assert "time_limit" not in raw["options"]
+        assert problem_from_dict(raw)[1] == SolverOptions()
 
 
 class TestProblemSchemaErrors:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import lp_vertex_optimum
+from zonoinv import solver
 from zonoinv.errors import DomainError, SchemaError
 from zonoinv.invariance import AffineSystem, InvarianceProblem, assemble, warm_start_point
 from zonoinv.parameterizations import SfgParameterization, UtpdParameterization, make_objective
@@ -15,6 +16,7 @@ from zonoinv.solver import (
     OPTIMAL,
     EmbeddedObjective,
     SolverOptions,
+    _center,
     _KKTSolver,
     _phase1_system,
     kkt_residual,
@@ -22,6 +24,7 @@ from zonoinv.solver import (
     phase1_feasible_point,
     solve_invariance,
 )
+from zonoinv.sysgen import TrialSpec, make_trial
 from zonoinv.zonotope import Box, Zonotope, volume_exact
 
 
@@ -298,6 +301,91 @@ class TestStructuredNewtonStep:
         with pytest.raises(ValueError, match="coupled"):
             _KKTSolver(edited.tocsr(), layout.n, layout.elim_blocks, layout.block_rows, free)
         solver_for(system, free)  # the unedited system is accepted
+
+
+class TestDenseFactorizationFailure:
+    """Systems without elimination blocks: an indefinite Newton matrix is
+    retried once with a diagonal shift, then reported."""
+
+    @staticmethod
+    def dense_system():
+        problem = make_problem(
+            [[0.6, 0.2], [0.0, 0.6]], [0.0, 0.0], unit_box(2), 5,
+            SfgParameterization(np.hstack([np.eye(2), [[1.0], [1.0]]])), "lgv",
+        )
+        system = assemble(problem)
+        return problem, system, np.arange(system.layout.free.start, system.layout.free.stop)
+
+    def test_shifted_retry_then_linalg_error(self, monkeypatch):
+        _, system, free = self.dense_system()
+        m, n = system.shape
+        attempts = []
+        potrf = solver._potrf
+
+        def counting_potrf(h, **kwargs):
+            attempts.append(h.copy())
+            return potrf(h, **kwargs)
+
+        c = system.dense()
+        kkt = _KKTSolver(c, n, (), (), free)
+        monkeypatch.setattr(solver, "_potrf", counting_potrf, raising=True)
+        # reg_floor = 1: the shift is 1 + max diag(C^T C), far below 1e6.
+        with pytest.raises(np.linalg.LinAlgError):
+            kkt.step(np.ones(m), -1e6 * np.eye(free.size), np.ones(n), 1.0)
+        assert len(attempts) == 2
+        expected = 1.0 + np.max(np.sum(c**2, axis=0))
+        assert np.allclose(np.diag(attempts[1] - attempts[0]), expected, rtol=1e-6, atol=0.0)
+
+    def test_maximize_reports_numerical_failure(self):
+        problem, system, free = self.dense_system()
+        # A convex (not concave) objective makes H = C^T D C - hess_f indefinite.
+        objective = EmbeddedObjective(
+            system.layout.n, free,
+            lambda x: 1e6 * float(x @ x),
+            lambda x: (1e6 * float(x @ x), 2e6 * x, 2e6 * np.eye(x.size)),
+        )
+        result = maximize(system, objective, warm_start_point(problem, system.layout))
+        assert result.status == NUMERICAL_FAILURE
+        assert result.message.startswith("Newton system factorization failed")
+
+
+class TestCenterSlacks:
+    """``_center`` moves the slacks along ``C delta`` instead of recomputing
+    ``b - C z`` at every trial point; over one stage they stay within
+    round-off of the exact slacks."""
+
+    @pytest.mark.parametrize("kind", ["utpd", "sfg"])
+    def test_tracked_slacks_match_exact(self, kind):
+        problem = make_trial(TrialSpec(3, 6, 0, 20260815), kind, "lgv")
+        assert problem.horizon == 30
+        system = assemble(problem)
+        layout = system.layout
+        assert bool(layout.elim_blocks) == (kind == "utpd")
+        objective = EmbeddedObjective.from_layout(layout, make_objective("lgv", problem.parameterization))
+        c_op = system.C if layout.elim_blocks else system.dense()
+        kkt = _KKTSolver(c_op, layout.n, layout.elim_blocks, layout.block_rows, objective.free_idx)
+        options = SolverOptions()
+        z0, _ = phase1_feasible_point(system, warm_start_point(problem, layout), options)
+        counters = {"iterations": 0, "kkt": kkt}
+        z, slacks, flag, _ = _center(c_op, system.b, objective, z0, options.mu0, options, None, counters)
+        assert flag == "converged" and counters["iterations"] > 1
+        exact = system.b - system.C @ z
+        assert np.all(np.abs(slacks - exact) <= 1e-12 * (1.0 + np.abs(system.b)))
+
+
+class TestBarrierSchedule:
+    """The default barrier schedule (mu shrinks 50x per stage) against the
+    former 5x schedule on the (3, 6) trial-0 instances of the acceptance
+    seed: far fewer Newton steps, the same answer."""
+
+    @pytest.mark.parametrize("kind", ["sfg", "utpd"])
+    def test_long_steps_reach_the_same_optimum(self, kind):
+        problem = make_trial(TrialSpec(3, 6, 0, 20260815), kind, "lgv")
+        default = solve_invariance(problem)
+        short = solve_invariance(problem, SolverOptions(mu_factor=0.2))
+        assert default.status == short.status == OPTIMAL
+        assert default.iterations + default.phase1_iterations < 100
+        assert default.objective_value == pytest.approx(short.objective_value, rel=1e-8)
 
 
 class TestKktResidual:
