@@ -18,7 +18,6 @@ independent verification.
 from .errors import (
     DimensionError,
     DomainError,
-    NotPositiveDefiniteError,
     RankDeficientError,
     SchemaError,
     UnsupportedError,
@@ -30,7 +29,6 @@ from .invariance import (
     assemble,
     certificate_violation,
     check_invariance_certificate,
-    drift_sum,
     reach_zonotope,
     warm_start_point,
 )
@@ -42,7 +40,6 @@ from .parameterizations import (
     sfg_log_volume_grad_hess,
     sfg_precompute_weights,
     sfg_volume,
-    utpd_log_volume_grad,
     utpd_volume,
 )
 from .solver import (
@@ -71,7 +68,6 @@ __all__ = [
     "InvarianceProblem",
     "MAX_ITERATIONS",
     "NUMERICAL_FAILURE",
-    "NotPositiveDefiniteError",
     "OPTIMAL",
     "Objective",
     "RankDeficientError",
@@ -90,7 +86,6 @@ __all__ = [
     "check_invariance_certificate",
     "contained_in_box",
     "derive_trial_seed",
-    "drift_sum",
     "interval_hull",
     "kkt_residual",
     "make_objective",
@@ -104,7 +99,6 @@ __all__ = [
     "sfg_volume",
     "solve_invariance",
     "template_generators",
-    "utpd_log_volume_grad",
     "utpd_volume",
     "volume_exact",
     "warm_start_point",

@@ -13,10 +13,6 @@ class RankDeficientError(ZonoinvError, ValueError):
     """A generator matrix has fewer columns than rows (or lacks full row rank)."""
 
 
-class NotPositiveDefiniteError(ZonoinvError, ArithmeticError):
-    """A matrix required to be symmetric positive definite is not."""
-
-
 class DomainError(ZonoinvError, ValueError):
     """An evaluation point lies outside the domain of the function."""
 

@@ -15,7 +15,6 @@ reproduces the CSV byte-for-byte apart from the wall-time column.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
-from .files import write_json
+from .files import _load_json, write_json
 from .solver import OPTIMAL, SolveResult, SolverOptions, solve_invariance
 from .sysgen import DEFAULT_DT, DEFAULT_HORIZON, TrialSpec, derive_trial_seed, make_trial
 from .zonotope import Zonotope
@@ -184,12 +183,7 @@ def config_from_dict(raw: dict, context: str = "config") -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    return config_from_dict(raw, context=str(path))
+    return config_from_dict(_load_json(path), context=str(path))
 
 
 def _run_one(task) -> TrialRecord:
@@ -285,19 +279,19 @@ def _box(values: list[float]) -> dict | None:
     }
 
 
-def _cells(records) -> list[tuple[int, int, str]]:
-    seen: dict[tuple[int, int, str], None] = {}
+def _cells(records) -> list[tuple[tuple[int, int, str], list, list]]:
+    """``((dim, n_generators, method), records, optimal records)`` per cell,
+    cells in order of first appearance."""
+    groups: dict[tuple[int, int, str], list] = {}
     for r in records:
-        seen.setdefault((r.dim, r.n_generators, r.method), None)
-    return list(seen)
+        groups.setdefault((r.dim, r.n_generators, r.method), []).append(r)
+    return [(cell, group, [r for r in group if r.status == OPTIMAL]) for cell, group in groups.items()]
 
 
 def aggregate(records: list[TrialRecord]) -> dict:
     """Per-cell, per-method summary statistics over the Optimal trials."""
     cells = []
-    for dim, p, method in _cells(records):
-        group = [r for r in records if (r.dim, r.n_generators, r.method) == (dim, p, method)]
-        optimal = [r for r in group if r.status == OPTIMAL]
+    for (dim, p, method), group, optimal in _cells(records):
         cells.append({
             "dim": dim,
             "n_generators": p,
@@ -314,9 +308,7 @@ def boxplot_summary(records: list[TrialRecord]) -> dict:
     """Quartile/whisker/outlier summaries, enough to draw box plots of the
     optimal-volume and runtime distributions per cell and method."""
     cells = []
-    for dim, p, method in _cells(records):
-        group = [r for r in records if (r.dim, r.n_generators, r.method) == (dim, p, method)]
-        optimal = [r for r in group if r.status == OPTIMAL]
+    for (dim, p, method), group, optimal in _cells(records):
         cells.append({
             "dim": dim,
             "n_generators": p,

@@ -201,8 +201,6 @@ def problem_from_dict(raw: dict, context: str = "problem"):
             options = SolverOptions.from_dict(raw["options"])
         except SchemaError as exc:
             raise SchemaError(f"{context}.{exc}") from exc
-        except TypeError as exc:
-            raise SchemaError(f"{context}.options: {exc}") from exc
 
     seed = raw.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):

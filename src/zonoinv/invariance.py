@@ -38,7 +38,6 @@ __all__ = [
     "InvarianceProblem",
     "VariableLayout",
     "LinearInequalitySystem",
-    "drift_sum",
     "reach_zonotope",
     "assemble",
     "assemble_sfg",
@@ -95,18 +94,11 @@ class InvarianceProblem:
         return self.system.dim
 
 
-def drift_sum(system: AffineSystem, t: int) -> np.ndarray:
-    """Accumulated offset ``sum_{s=0}^{t-1} A^{t-1-s} w`` (zero for t = 0)."""
-    if t < 0:
-        raise DimensionError(f"time must be nonnegative, got {t}")
-    drift = np.zeros(system.dim)
-    for _ in range(t):
-        drift = system.A @ drift + system.w
-    return drift
-
-
 def _drift_table(system: AffineSystem, horizon: int) -> np.ndarray:
-    """Stack of drift vectors for t = 0..horizon, shape (horizon+1, d)."""
+    """Accumulated offsets ``drift(t) = sum_{s<t} A^{t-1-s} w`` for t = 0..horizon,
+    shape (horizon+1, d); ``drift(0)`` is zero."""
+    if horizon < 0:
+        raise DimensionError(f"horizon must be nonnegative, got {horizon}")
     drifts = np.zeros((horizon + 1, system.dim))
     for t in range(1, horizon + 1):
         drifts[t] = system.A @ drifts[t - 1] + system.w
@@ -118,7 +110,7 @@ def reach_zonotope(system: AffineSystem, zonotope: Zonotope, t: int) -> Zonotope
     if zonotope.dim != system.dim:
         raise DimensionError("zonotope dimension does not match system dimension")
     powers = power_chain(system.A, t)
-    return affine_image(zonotope, powers[t], drift_sum(system, t))
+    return affine_image(zonotope, powers[t], _drift_table(system, t)[t])
 
 
 @dataclass(frozen=True)
@@ -184,40 +176,26 @@ class VariableLayout:
             z[self.lifted] = lifted.reshape(-1)
         return z
 
-    def zonotope_of(self, z) -> Zonotope:
-        parts = self.decode(z)
-        return Zonotope(parts["center"], parts["generators"])
-
 
 @dataclass(frozen=True)
 class LinearInequalitySystem:
     """Linear inequalities ``C z <= b`` with a variable layout.
 
-    ``C`` is stored sparse (CSR); ``assembly_mul_count`` records the number
-    of scalar multiplications spent assembling (power chain plus coefficient
-    products), used by the complexity bookkeeping tests.
+    ``C`` is stored sparse (CSR) with the column indices of every row sorted;
+    ``layout`` says which variables each column holds and, for the lifted
+    triangular systems, which rows touch each elimination block.
     """
 
     C: scipy.sparse.csr_matrix
     b: np.ndarray
     layout: VariableLayout
-    assembly_mul_count: int = 0
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.C.shape
 
-    def dense(self) -> np.ndarray:
-        return self.C.toarray()
-
     def slacks(self, z) -> np.ndarray:
         return self.b - self.C @ np.asarray(z, dtype=float)
-
-
-def _triangle_offsets(d: int) -> np.ndarray:
-    """Packed position of entry (k, k) for the row-major upper triangle."""
-    k = np.arange(d)
-    return k * d - k * (k - 1) // 2
 
 
 def assemble(problem: InvarianceProblem) -> LinearInequalitySystem:
@@ -263,8 +241,7 @@ def assemble_sfg(problem: InvarianceProblem) -> LinearInequalitySystem:
         kind="sfg", dim=d, n_generators=p, horizon=T, n=n, m=m,
         center=slice(0, d), free=slice(d, d + p), parameterization=param,
     )
-    mul_count = T * d**3 + (T + 1) * d * d * p
-    return LinearInequalitySystem(scipy.sparse.csr_matrix(c_mat), b, layout, mul_count)
+    return LinearInequalitySystem(scipy.sparse.csr_matrix(c_mat), b, layout)
 
 
 def assemble_utpd(problem: InvarianceProblem) -> LinearInequalitySystem:
@@ -275,8 +252,13 @@ def assemble_utpd(problem: InvarianceProblem) -> LinearInequalitySystem:
     for each t = 1..T a full auxiliary matrix ``M_t`` (d^2) with
     ``M_t >= +-(A^t G)`` elementwise.  Row order: d diagonal-floor rows;
     t = 0 lower/upper box rows; t = 0 off-diagonal aux rows (pairs +,-);
-    then per t >= 1 the 2 d^2 aux rows (pairs +,-) followed by the 2d box
-    rows (lower then upper).
+    then per t >= 1 the 2 d^2 aux rows of ``M_t[i, j]`` in row-major order
+    (pairs +,-) followed by the 2d box rows (lower then upper).
+
+    Each row family is one broadcast of (row, column, value) over its index
+    grid; the columns of ``G[k, j]`` and ``aux0[i, j]`` come from two packed
+    position tables.  The CSR conversion sorts every row by column, so the
+    order of the families does not change ``C``.
     """
     param = problem.parameterization
     if param.kind != "utpd":
@@ -284,116 +266,68 @@ def assemble_utpd(problem: InvarianceProblem) -> LinearInequalitySystem:
     d, T = problem.dim, problem.horizon
     n_g = d * (d + 1) // 2
     n_aux0 = d * (d - 1) // 2
-    n = d + n_g + n_aux0 + T * d * d
-    m = d + 2 * d + d * (d - 1) + T * (2 * d * d + 2 * d)
+    aux0_off = d + n_g
+    m_off = aux0_off + n_aux0      # M_1 starts here; M_t block is d*d wide
+    n = m_off + T * d * d
+    m = 3 * d + d * (d - 1) + T * (2 * d * d + 2 * d)
     powers = power_chain(problem.system.A, T)
     drifts = _drift_table(problem.system, T)
     lo, up = problem.box.lower, problem.box.upper
 
-    g_off = d                      # packed triangle starts after the center
-    aux0_off = d + n_g
-    m_off = aux0_off + n_aux0      # M_1 starts here; M_t block is d*d wide
-    tri_offsets = _triangle_offsets(d)
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    b = np.zeros(m)
-
-    def put(r, c, v):
-        rows.append(np.asarray(r, dtype=np.intp).ravel())
-        cols.append(np.asarray(c, dtype=np.intp).ravel())
-        data.append(np.asarray(v, dtype=float).ravel())
-
-    # Diagonal floor rows: -G[i, i] <= -diag_floor.
-    put(np.arange(d), g_off + tri_offsets, -np.ones(d))
-    b[:d] = -param.diag_floor
-
-    # t = 0 box rows: |G| row sums are G[i, i] + sum_{j > i} aux0[i, j].
-    base = d
     idx = np.arange(d)
-    put(base + idx, idx, -np.ones(d))                       # lower rows: -c
-    put(base + d + idx, idx, np.ones(d))                    # upper rows: +c
-    for half in (base, base + d):
-        put(half + idx, g_off + tri_offsets, np.ones(d))    # diagonal entries
-    aux0_pos = np.empty((d, d), dtype=np.intp)              # position of aux0[i, j]
-    pos = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            aux0_pos[i, j] = aux0_off + pos
-            pos += 1
-    for i in range(d):
-        if i + 1 < d:
-            cset = aux0_pos[i, i + 1:]
-            put(np.full(d - i - 1, base + i), cset, np.ones(d - i - 1))
-            put(np.full(d - i - 1, base + d + i), cset, np.ones(d - i - 1))
-    b[base:base + d] = drifts[0] - lo
-    b[base + d:base + 2 * d] = up - drifts[0]
+    g_pos = np.zeros((d, d), dtype=np.intp)              # column of G[k, j], k <= j
+    k_tri, j_tri = np.triu_indices(d)
+    g_pos[k_tri, j_tri] = d + np.arange(n_g)
+    aux0_pos = np.zeros((d, d), dtype=np.intp)           # column of aux0[i, j], i < j
+    i_off, j_off = np.triu_indices(d, 1)
+    aux0_pos[i_off, j_off] = aux0_off + np.arange(n_aux0)
+    diag_cols = g_pos[idx, idx]
+    pm = np.array([1.0, -1.0])                           # signs of an aux pair (+, -)
 
-    # t = 0 off-diagonal aux rows: +-G[i, j] - aux0[i, j] <= 0, pairs (+, -).
-    base = 3 * d
-    pair = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            g_col = g_off + tri_offsets[i] + (j - i)
-            r_plus, r_minus = base + 2 * pair, base + 2 * pair + 1
-            put([r_plus, r_plus], [g_col, aux0_pos[i, j]], [1.0, -1.0])
-            put([r_minus, r_minus], [g_col, aux0_pos[i, j]], [-1.0, -1.0])
-            pair += 1
+    # t = 0: box rows [i, lower/upper] and off-diagonal aux pairs [q, +/-].
+    box0 = d + idx[:, np.newaxis] + np.array([0, d])
+    aux0_rows = 3 * d + 2 * np.arange(n_aux0)[:, np.newaxis] + np.array([0, 1])
+    # t >= 1: block_rows[t-1, i] holds the aux pairs of M_t[i, :] and the box
+    # pair of (t, i); m_cols[t-1, i, j] is the column of M_t[i, j].
+    aux_base = 3 * d + d * (d - 1) + np.arange(T) * (2 * d * d + 2 * d)
+    block_rows = np.empty((T, d, d + 1, 2), dtype=np.intp)
+    block_rows[:, :, :d] = (aux_base[:, np.newaxis, np.newaxis, np.newaxis]
+                            + 2 * (d * idx[:, np.newaxis, np.newaxis] + idx[:, np.newaxis]) + np.array([0, 1]))
+    block_rows[:, :, d] = aux_base[:, np.newaxis, np.newaxis] + 2 * d * d + idx[:, np.newaxis] + np.array([0, d])
+    m_cols = m_off + np.arange(T * d * d, dtype=np.intp).reshape(T, d, d)
+    box_t = block_rows[:, :, d, np.newaxis, :]           # (T, d, 1, 2)
+    lifted_powers = powers[1:, :, :, np.newaxis]         # (T, d, d, 1): A^t[i, k]
 
-    # Column positions of the packed entries in column j: G[0..j, j].
-    g_cols_by_col = [g_off + tri_offsets[: j + 1] + (j - np.arange(j + 1)) for j in range(d)]
+    families = [  # (rows, columns, values), broadcast against each other
+        (idx, diag_cols, -1.0),                                   # -G[i, i] <= -diag_floor
+        (box0, idx[:, np.newaxis], -pm),                          # t = 0 box rows: -+c
+        (box0, diag_cols[:, np.newaxis], 1.0),                    #   + G[i, i] (known sign)
+        (box0[i_off], aux0_pos[i_off, j_off, np.newaxis], 1.0),   #   + aux0[i, j], j > i
+        (aux0_rows, g_pos[i_off, j_off, np.newaxis], pm),         # +-G[i, j] - aux0[i, j] <= 0
+        (aux0_rows, aux0_pos[i_off, j_off, np.newaxis], -1.0),
+        (block_rows[:, :, j_tri], g_pos[k_tri, j_tri, np.newaxis],  # +-(A^t G)[i, j], k <= j
+         lifted_powers[:, :, k_tri] * pm),
+        (block_rows[:, :, :d], m_cols[..., np.newaxis], -1.0),    #   - M_t[i, j] <= 0
+        (box_t, idx[:, np.newaxis], lifted_powers * -pm),         # t >= 1 box rows: -+A^t c
+        (box_t, m_cols[..., np.newaxis], 1.0),                    #   + sum_j M_t[i, j]
+    ]
+    triples = [[a.ravel() for a in np.broadcast_arrays(*family)] for family in families]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*triples))
+    c_mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr()
 
-    # Elimination block (t, i) holds M_t[i, :]; its rows are the aux-row
-    # pairs of its entries, then its lower and upper box rows.
-    blocks: list[np.ndarray] = []
-    block_rows: list[np.ndarray] = []
-    row_base = 3 * d + d * (d - 1)
-    for t in range(1, T + 1):
-        pt = powers[t]
-        aux_base = row_base
-        m_cols = m_off + (t - 1) * d * d
-        for j in range(d):
-            gcols = g_cols_by_col[j]                         # (j+1,) packed columns
-            coeff = pt[:, : j + 1]                           # (d, j+1): row i -> (A^t)[i, 0..j]
-            r_plus = aux_base + 2 * (np.arange(d) * d + j)
-            r_minus = r_plus + 1
-            put(np.repeat(r_plus, j + 1), np.tile(gcols, d), coeff)
-            put(np.repeat(r_minus, j + 1), np.tile(gcols, d), -coeff)
-            mcol = m_cols + np.arange(d) * d + j
-            put(r_plus, mcol, -np.ones(d))
-            put(r_minus, mcol, -np.ones(d))
-        # b stays zero for aux rows.
-        box_base = aux_base + 2 * d * d
-        put(np.repeat(box_base + idx, d), np.tile(idx, d), -pt)
-        put(np.repeat(box_base + d + idx, d), np.tile(idx, d), pt)
-        all_m = m_cols + np.arange(d * d)
-        put(np.repeat(box_base + idx, d), all_m, np.ones(d * d))
-        put(np.repeat(box_base + d + idx, d), all_m, np.ones(d * d))
-        b[box_base:box_base + d] = drifts[t] - lo
-        b[box_base + d:box_base + 2 * d] = up - drifts[t]
-        plus_rows = aux_base + 2 * np.arange(d * d).reshape(d, d)   # [i, j]: r_plus of M_t[i, j]
-        rows_t = np.empty((d, d + 1, 2), dtype=np.intp)
-        rows_t[:, :d, 0], rows_t[:, :d, 1] = plus_rows, plus_rows + 1
-        rows_t[:, d, 0], rows_t[:, d, 1] = box_base + idx, box_base + d + idx
-        block_rows.extend(rows_t)
-        blocks.extend(m_cols + np.arange(d * d, dtype=np.intp).reshape(d, d))
-        row_base = box_base + 2 * d
-
-    assert row_base == m
-    c_mat = scipy.sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(m, n)
-    ).tocsr()
+    b = np.zeros(m)                                      # aux rows stay zero
+    b[:d] = -param.diag_floor
+    b[box0[:, 0]], b[box0[:, 1]] = drifts[0] - lo, up - drifts[0]
+    b[block_rows[:, :, d, 0]], b[block_rows[:, :, d, 1]] = drifts[1:] - lo, up - drifts[1:]
 
     layout = VariableLayout(
         kind="utpd", dim=d, n_generators=d, horizon=T, n=n, m=m,
-        center=slice(0, d), free=slice(g_off, g_off + n_g),
-        aux0=slice(aux0_off, aux0_off + n_aux0) if n_aux0 else slice(aux0_off, aux0_off),
+        center=slice(0, d), free=slice(d, aux0_off), aux0=slice(aux0_off, m_off),
         lifted=slice(m_off, n) if T else None,
-        elim_blocks=tuple(blocks), block_rows=tuple(block_rows), parameterization=param,
+        elim_blocks=tuple(m_cols.reshape(T * d, d)), block_rows=tuple(block_rows.reshape(T * d, d + 1, 2)),
+        parameterization=param,
     )
-    mul_count = T * d**3 + T * d * d * (d + 1)
-    return LinearInequalitySystem(c_mat, b, layout, mul_count)
+    return LinearInequalitySystem(c_mat, b, layout)
 
 
 def warm_start_point(problem: InvarianceProblem, layout: VariableLayout) -> np.ndarray:

@@ -9,21 +9,16 @@ reject non-finite entries.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DimensionError, NotPositiveDefiniteError
+from .errors import DimensionError
 
 __all__ = [
     "as_matrix",
     "as_vector",
-    "det",
-    "solve_spd",
     "power_chain",
     "index_subsets",
-    "subset_count",
     "block_expm",
 ]
 
@@ -58,39 +53,6 @@ def as_vector(values, *, size: int | None = None, name: str = "vector") -> np.nd
     return arr
 
 
-def det(matrix) -> float:
-    """Determinant of a square matrix via pivoted LU factorization."""
-    m = as_matrix(matrix, name="matrix")
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"determinant requires a square matrix, got {m.shape}")
-    return float(np.linalg.det(m))
-
-
-def solve_spd(matrix, rhs) -> np.ndarray:
-    """Solve ``M x = b`` for symmetric positive definite ``M`` via Cholesky.
-
-    Raises :class:`NotPositiveDefiniteError` if the factorization fails and
-    :class:`DimensionError` if ``M`` is not square/symmetric or shapes clash.
-    """
-    m = as_matrix(matrix, name="matrix")
-    n = m.shape[0]
-    if m.shape[1] != n:
-        raise DimensionError(f"solve_spd requires a square matrix, got {m.shape}")
-    if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
-        raise DimensionError("solve_spd requires a symmetric matrix")
-    b = np.asarray(rhs, dtype=float)
-    if b.shape[0] != n:
-        raise DimensionError(f"right-hand side length {b.shape[0]} does not match matrix size {n}")
-    if not np.all(np.isfinite(b)):
-        raise DimensionError("right-hand side contains non-finite entries")
-    try:
-        lower = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("matrix is not positive definite") from exc
-    y = scipy.linalg.solve_triangular(lower, b, lower=True)
-    return scipy.linalg.solve_triangular(lower.T, y, lower=False)
-
-
 def power_chain(matrix, horizon: int) -> np.ndarray:
     """Return the stack ``[I, A, A^2, ..., A^horizon]`` of shape (horizon+1, d, d).
 
@@ -120,13 +82,6 @@ def index_subsets(p: int, k: int) -> np.ndarray:
         raise DimensionError(f"invalid subset parameters p={p}, k={k}")
     rows = list(combinations(range(p), k))
     return np.array(rows, dtype=np.intp).reshape(len(rows), k)
-
-
-def subset_count(p: int, k: int) -> int:
-    """Number of size-``k`` subsets of a ``p``-element set, C(p, k)."""
-    if k < 0 or p < 0 or k > p:
-        raise DimensionError(f"invalid subset parameters p={p}, k={k}")
-    return comb(p, k)
 
 
 def block_expm(blocks: list[np.ndarray], basis, dt: float) -> np.ndarray:

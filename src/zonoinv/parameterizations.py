@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError, RankDeficientError, UnsupportedError
-from .numerics import as_matrix, as_vector, index_subsets, subset_count
+from .numerics import as_matrix, as_vector, index_subsets
 
 __all__ = [
     "SubsetWeights",
@@ -41,7 +41,6 @@ __all__ = [
     "SfgParameterization",
     "UtpdParameterization",
     "utpd_volume",
-    "utpd_log_volume_grad",
     "sfg_volume",
     "sfg_log_volume_grad_hess",
     "Objective",
@@ -70,31 +69,6 @@ class SubsetWeights:
     def count(self) -> int:
         """Number of stored subsets, C(p, d)."""
         return self.weights.shape[0]
-
-    @property
-    def product_term_count(self) -> int:
-        """Multiply-accumulate terms per volume evaluation: C(p, d) * d."""
-        return int(self.subsets.size)
-
-    def rank_of(self, subset) -> int:
-        """Lexicographic rank of a strictly increasing 0-based subset."""
-        j = np.asarray(subset, dtype=np.intp)
-        d, p = self.dim, self.n_columns
-        if j.shape != (d,) or np.any(j[1:] <= j[:-1]) or j[0] < 0 or j[-1] >= p:
-            raise DimensionError(f"subset must be strictly increasing 0-based indices of length {d}")
-        # Count subsets that precede j lexicographically: for each position i,
-        # those that agree on the first i entries and take a smaller value there.
-        rank = 0
-        prev = -1
-        for i in range(d):
-            for v in range(prev + 1, j[i]):
-                rank += subset_count(p - 1 - v, d - 1 - i)
-            prev = int(j[i])
-        return rank
-
-    def weight_of(self, subset) -> float:
-        """Weight of one subset, looked up by combinatorial rank in O(d)."""
-        return float(self.weights[self.rank_of(subset)])
 
 
 def sfg_precompute_weights(template) -> SubsetWeights:
@@ -289,12 +263,17 @@ class UtpdParameterization:
     def volume(self, free) -> float:
         return utpd_volume(self.effective_generators(free))
 
+    def log_volume_value(self, free) -> float:
+        """Log volume ``d log 2 + sum_i log G[i, i]`` without derivatives."""
+        diag = self.validate_free(free)[self.diag_positions()]
+        return self.dim * np.log(2.0) + float(np.sum(np.log(diag)))
+
     def log_volume(self, free):
         """Log volume with gradient and Hessian in the packed entries."""
         free = self.validate_free(free)
         diag_pos = self.diag_positions()
         diag = free[diag_pos]
-        value = self.dim * np.log(2.0) + float(np.sum(np.log(diag)))
+        value = self.log_volume_value(free)
         grad = np.zeros(self.n_free)
         grad[diag_pos] = 1.0 / diag
         hess = np.zeros((self.n_free, self.n_free))
@@ -323,19 +302,6 @@ def utpd_volume(generators) -> float:
     return float(2.0 ** d * np.prod(diag))
 
 
-def utpd_log_volume_grad(generators) -> np.ndarray:
-    """Gradient of the log volume in the packed upper-triangle entries.
-
-    Equals ``1 / G[i, i]`` at the diagonal positions and zero elsewhere (the
-    Hessian is the matching diagonal ``-1 / G[i, i]^2``; see
-    :meth:`UtpdParameterization.log_volume`).
-    """
-    g = as_matrix(generators, name="generators")
-    param = UtpdParameterization(g.shape[0])
-    _, grad, _ = param.log_volume(param.pack(g))
-    return grad
-
-
 @dataclass(frozen=True)
 class Objective:
     """Concave objective over the free variables of a parameterization."""
@@ -356,9 +322,7 @@ class Objective:
                 if volume <= 0.0:
                     raise DomainError("volume is not positive at this point")
                 return float(np.log(volume))
-            free = param.validate_free(free)
-            diag = free[param.diag_positions()]
-            return param.dim * np.log(2.0) + float(np.sum(np.log(diag)))
+            return param.log_volume_value(free)
         gamma = param.validate_free(free)
         if self.kind == "ss":
             return float(np.sum(gamma))

@@ -34,6 +34,8 @@ problem infeasible when the optimal ``s`` is not clearly negative.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -86,6 +88,10 @@ class SolverOptions:
     ``time_limit`` (seconds, wall clock) is None by default because any
     time-dependent branching breaks bitwise determinism of the iterate
     sequence; set it only when a budget matters more than reproducibility.
+
+    Construction checks every field, since options also arrive from files:
+    each number must be finite and positive, ``max_newton`` an integer, and
+    ``mu_factor`` and ``backtrack`` below 1.
     """
 
     mu0: float = 1.0
@@ -101,15 +107,22 @@ class SolverOptions:
     time_limit: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.mu_factor < 1.0):
-            raise SchemaError(f"options.mu_factor must lie in (0, 1), got {self.mu_factor}")
-        if not (0.0 < self.backtrack < 1.0):
-            raise SchemaError(f"options.backtrack must lie in (0, 1), got {self.backtrack}")
-        for name in ("mu0", "gap_tol", "armijo", "reg_floor", "newton_tol", "kkt_tol", "phase1_margin"):
-            if getattr(self, name) <= 0.0:
-                raise SchemaError(f"options.{name} must be positive")
-        if self.max_newton < 1:
-            raise SchemaError(f"options.max_newton must be >= 1, got {self.max_newton}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "max_newton":
+                ok = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+                need = "an integer >= 1"
+            else:
+                ok = (value is None and f.name == "time_limit") or (
+                    isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value) and value > 0.0
+                )
+                need = "a finite positive number"
+            if not ok:
+                raise SchemaError(f"options.{f.name} must be {need}, got {value!r}")
+        for name in ("mu_factor", "backtrack"):
+            if getattr(self, name) >= 1.0:
+                raise SchemaError(f"options.{name} must lie in (0, 1), got {getattr(self, name)}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SolverOptions":
@@ -528,7 +541,7 @@ def _phase1_system(system: LinearInequalitySystem) -> LinearInequalitySystem:
         center=slice(0, 0), free=slice(n, n + 1),
         elim_blocks=system.layout.elim_blocks, block_rows=system.layout.block_rows,
     )
-    return LinearInequalitySystem(c_aux, b_aux, layout, system.assembly_mul_count)
+    return LinearInequalitySystem(c_aux, b_aux, layout)
 
 
 def phase1_feasible_point(

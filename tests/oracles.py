@@ -3,7 +3,6 @@
 Each routine here is a brute-force or first-principles computation written
 without touching the package's code paths, trading speed for obviousness:
 
-* ``cofactor_det``: determinant by Laplace expansion (exponential time).
 * ``taylor_expm``: matrix exponential by summing the power series.
 * ``lp_vertex_optimum``: linear-program optimum by enumerating basic points
   (every n-subset of constraint rows), feasible for tiny systems only.
@@ -19,21 +18,6 @@ import itertools
 import math
 
 import numpy as np
-
-
-def cofactor_det(matrix: np.ndarray) -> float:
-    m = np.asarray(matrix, dtype=float)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("square matrix required")
-    if n == 1:
-        return float(m[0, 0])
-    total = 0.0
-    rest = m[1:]
-    for j in range(n):
-        minor = np.delete(rest, j, axis=1)
-        total += (-1.0) ** j * m[0, j] * cofactor_det(minor)
-    return total
 
 
 def taylor_expm(matrix: np.ndarray, terms: int = 60) -> np.ndarray:

@@ -81,6 +81,18 @@ class TestSolve:
         assert code == 1
         assert "'T'" in err
 
+    def test_bad_option_exit_one_names_field(self, tmp_path, capsys):
+        # NaN is written and read back by Python's json module.
+        path = tmp_path / "p.json"
+        for options in ({"time_limit": "abc"}, {"max_newton": 2.5}, {"mu0": float("nan")}):
+            raw = feasible_problem_dict()
+            raw["options"] = options
+            write_json(path, raw)
+            code, out, err = run_cli(capsys, "solve", str(path))
+            assert code == 1 and out == ""
+            assert f"options.{next(iter(options))}" in err
+            assert "Traceback" not in err
+
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent/problem.json")
         assert code == 1

@@ -124,6 +124,13 @@ class TestProblemSchemaErrors:
             with pytest.raises(SchemaError, match=field):
                 problem_from_dict(raw)
 
+    def test_bad_option_values_named(self):
+        for field, value in [("time_limit", "abc"), ("max_newton", 2.5), ("mu0", float("nan"))]:
+            raw = sample_dict()
+            raw["options"] = {field: value}
+            with pytest.raises(SchemaError, match=rf"problem\.options\.{field}"):
+                problem_from_dict(raw)
+
     def test_nonsquare_a(self):
         raw = sample_dict()
         raw["A"] = [[1.0, 0.0]]

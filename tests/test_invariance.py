@@ -7,12 +7,12 @@ from zonoinv.errors import DimensionError, UnsupportedError
 from zonoinv.invariance import (
     AffineSystem,
     InvarianceProblem,
+    _drift_table,
     assemble,
     assemble_sfg,
     assemble_utpd,
     certificate_violation,
     check_invariance_certificate,
-    drift_sum,
     reach_zonotope,
     warm_start_point,
 )
@@ -49,27 +49,29 @@ class TestAffineSystem:
 class TestDrift:
     def test_zero_at_time_zero(self):
         sys_ = AffineSystem(0.5 * np.eye(3), np.ones(3))
-        assert np.array_equal(drift_sum(sys_, 0), np.zeros(3))
+        assert np.array_equal(_drift_table(sys_, 0), np.zeros((1, 3)))
 
     def test_hand_values(self):
         # d(1) = w, d(2) = A w + w.
         a = np.array([[0.5, 0.2], [0.0, 0.3]])
         w = np.array([1.0, 2.0])
         sys_ = AffineSystem(a, w)
-        assert np.allclose(drift_sum(sys_, 1), w)
-        assert np.allclose(drift_sum(sys_, 2), a @ w + w)
+        drifts = _drift_table(sys_, 2)
+        assert np.allclose(drifts[1], w)
+        assert np.allclose(drifts[2], a @ w + w)
 
     def test_scalar_geometric_series(self):
         # For scalar a, drift(t) = w * (1 - a^t) / (1 - a).
         sys_ = AffineSystem([[0.5]], [3.0])
+        drifts = _drift_table(sys_, 7)
         for t in range(8):
             expected = 3.0 * (1 - 0.5**t) / (1 - 0.5)
-            assert drift_sum(sys_, t)[0] == pytest.approx(expected, rel=1e-14)
+            assert drifts[t, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_rejects_negative_time(self):
         sys_ = AffineSystem([[0.5]], [0.0])
         with pytest.raises(DimensionError):
-            drift_sum(sys_, -1)
+            _drift_table(sys_, -1)
 
 
 class TestReachZonotope:
@@ -141,7 +143,7 @@ class TestAssembleSfg:
         param = SfgParameterization([[1.0]], scale_floor=1e-6)
         problem = InvarianceProblem(sys_, unit_box(1), 1, param, "lgv")
         system = assemble_sfg(problem)
-        dense = system.dense()
+        dense = system.C.toarray()
         expected_c = np.array([
             [-1.0, 1.0],     # -c + |G| gamma <= 0 - (-1)
             [1.0, 1.0],      # +c + |G| gamma <= 1 - 0
@@ -174,15 +176,6 @@ class TestAssembleSfg:
             else:
                 assert slack_min == pytest.approx(-viol, rel=1e-9, abs=1e-12)
 
-    def test_mul_count_formula(self):
-        rng = np.random.default_rng(3)
-        sys_ = random_stable_system(rng, 3)
-        param = SfgParameterization(rng.standard_normal((3, 5)))
-        problem = InvarianceProblem(sys_, unit_box(3), 7, param, "lgv")
-        system = assemble_sfg(problem)
-        d, p, T = 3, 5, 7
-        assert system.assembly_mul_count == T * d**3 + (T + 1) * d * d * p
-
     def test_rejects_wrong_kind(self):
         sys_ = AffineSystem(np.eye(2), np.zeros(2))
         problem = InvarianceProblem(sys_, unit_box(2), 3, UtpdParameterization(2), "lgv")
@@ -207,6 +200,43 @@ class TestAssembleUtpd:
         assert len(layout.elim_blocks) == 30 * 3
         assert all(len(block) == 3 for block in layout.elim_blocks)
 
+    def test_hand_rows_d2(self):
+        # d = 2, T = 1, A = [[1/2, 1/4], [-1/8, 3/4]], w = (1/4, -1/2), box
+        # [-1, 1]^2. Columns: c0 c1 | G00 G01 G11 | a01 | M00 M01 M10 M11.
+        sys_ = AffineSystem([[0.5, 0.25], [-0.125, 0.75]], [0.25, -0.5])
+        param = UtpdParameterization(2, diag_floor=1e-6)
+        system = assemble_utpd(InvarianceProblem(sys_, unit_box(2), 1, param, "lgv"))
+        expected_c = np.array([
+            [0, 0, -1, 0, 0, 0, 0, 0, 0, 0],              # -G00 <= -floor
+            [0, 0, 0, 0, -1, 0, 0, 0, 0, 0],              # -G11 <= -floor
+            [-1, 0, 1, 0, 0, 1, 0, 0, 0, 0],              # t=0 lower: -c0 + G00 + a01
+            [0, -1, 0, 0, 1, 0, 0, 0, 0, 0],              # t=0 lower: -c1 + G11
+            [1, 0, 1, 0, 0, 1, 0, 0, 0, 0],               # t=0 upper
+            [0, 1, 0, 0, 1, 0, 0, 0, 0, 0],
+            [0, 0, 0, 1, 0, -1, 0, 0, 0, 0],              # +G01 - a01
+            [0, 0, 0, -1, 0, -1, 0, 0, 0, 0],             # -G01 - a01
+            [0, 0, 0.5, 0, 0, 0, -1, 0, 0, 0],            # +(AG)00 - M00
+            [0, 0, -0.5, 0, 0, 0, -1, 0, 0, 0],           # -(AG)00 - M00
+            [0, 0, 0, 0.5, 0.25, 0, 0, -1, 0, 0],         # (AG)01 = G01/2 + G11/4
+            [0, 0, 0, -0.5, -0.25, 0, 0, -1, 0, 0],
+            [0, 0, -0.125, 0, 0, 0, 0, 0, -1, 0],         # (AG)10 = -G00/8
+            [0, 0, 0.125, 0, 0, 0, 0, 0, -1, 0],
+            [0, 0, 0, -0.125, 0.75, 0, 0, 0, 0, -1],      # (AG)11 = -G01/8 + 3 G11/4
+            [0, 0, 0, 0.125, -0.75, 0, 0, 0, 0, -1],
+            [-0.5, -0.25, 0, 0, 0, 0, 1, 1, 0, 0],        # t=1 lower: -(Ac)0 + M00 + M01
+            [0.125, -0.75, 0, 0, 0, 0, 0, 0, 1, 1],
+            [0.5, 0.25, 0, 0, 0, 0, 1, 1, 0, 0],          # t=1 upper
+            [-0.125, 0.75, 0, 0, 0, 0, 0, 0, 1, 1],
+        ])
+        expected_b = np.array([-1e-6, -1e-6, 1, 1, 1, 1] + [0] * 10 + [1.25, 0.5, 0.75, 1.5])
+        assert np.array_equal(system.C.toarray(), expected_c)
+        assert np.array_equal(system.b, expected_b)
+        assert [block.tolist() for block in system.layout.elim_blocks] == [[6, 7], [8, 9]]
+        assert [rows.tolist() for rows in system.layout.block_rows] == [
+            [[8, 9], [10, 11], [16, 18]],
+            [[12, 13], [14, 15], [17, 19]],
+        ]
+
     def test_block_rows_are_the_only_rows_of_each_block(self):
         # Pair j < d holds -1 on entry j of M_t[i, :]; the last pair (the
         # box rows of (t, i)) holds +1 on every entry; no other row touches it.
@@ -214,7 +244,7 @@ class TestAssembleUtpd:
         d, T = 3, 4
         problem = InvarianceProblem(random_stable_system(rng, d), unit_box(d), T, UtpdParameterization(d), "lgv")
         system = assemble_utpd(problem)
-        dense = system.dense()
+        dense = system.C.toarray()
         layout = system.layout
         assert len(layout.block_rows) == len(layout.elim_blocks) == T * d
         for cols, rows in zip(layout.elim_blocks, layout.block_rows):
@@ -280,16 +310,7 @@ class TestAssembleUtpd:
         z = layout.encode([0.1, -0.2], [2.0, 3.0, 4.0], aux0=[3.0], lifted=np.ones((2, 2, 2)))
         parts = layout.decode(z)
         assert np.array_equal(parts["generators"], [[2.0, 3.0], [0.0, 4.0]])
-        zono = layout.zonotope_of(z)
-        assert np.array_equal(zono.center, [0.1, -0.2])
-
-    def test_mul_count_formula(self):
-        rng = np.random.default_rng(6)
-        sys_ = random_stable_system(rng, 4)
-        problem = InvarianceProblem(sys_, unit_box(4), 9, UtpdParameterization(4), "lgv")
-        system = assemble_utpd(problem)
-        d, T = 4, 9
-        assert system.assembly_mul_count == T * d**3 + T * d * d * (d + 1)
+        assert np.array_equal(parts["center"], [0.1, -0.2])
 
     def test_assemble_dispatch(self):
         rng = np.random.default_rng(7)

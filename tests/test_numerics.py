@@ -1,24 +1,15 @@
-"""Dense-kernel layer: array coercion, determinants, SPD solves, matrix
-powers, subset enumeration, and the closed-form block exponential."""
+"""Dense-kernel layer: array coercion, matrix powers, subset enumeration,
+and the closed-form block exponential."""
 
 import math
 
 import numpy as np
 import pytest
 
-from zonoinv.errors import DimensionError, NotPositiveDefiniteError
-from zonoinv.numerics import (
-    as_matrix,
-    as_vector,
-    block_expm,
-    det,
-    index_subsets,
-    power_chain,
-    solve_spd,
-    subset_count,
-)
+from zonoinv.errors import DimensionError
+from zonoinv.numerics import as_matrix, as_vector, block_expm, index_subsets, power_chain
 
-from oracles import cofactor_det, taylor_expm
+from oracles import taylor_expm
 
 
 class TestCoercion:
@@ -44,44 +35,6 @@ class TestCoercion:
     def test_as_vector_rejects_matrix_input(self):
         with pytest.raises(DimensionError):
             as_vector([[1.0, 2.0]])
-
-
-class TestDet:
-    def test_frozen_example(self):
-        assert det(np.array([[1.0, 2.0], [3.0, 4.0]])) == pytest.approx(-2.0, abs=1e-12)
-
-    def test_matches_cofactor_expansion(self):
-        rng = np.random.default_rng(101)
-        for n in (1, 2, 3, 4, 5):
-            m = rng.standard_normal((n, n))
-            assert det(m) == pytest.approx(cofactor_det(m), rel=1e-10, abs=1e-12)
-
-    def test_singular(self):
-        m = np.array([[1.0, 2.0], [2.0, 4.0]])
-        assert det(m) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestSolveSpd:
-    def test_frozen_example(self):
-        a = np.array([[2.0, 0.0], [0.0, 3.0]])
-        x = solve_spd(a, np.array([2.0, 6.0]))
-        assert np.allclose(x, [1.0, 2.0], atol=1e-14)
-
-    def test_matches_generic_solve(self):
-        rng = np.random.default_rng(7)
-        for n in (2, 4, 7):
-            root = rng.standard_normal((n, n))
-            a = root @ root.T + n * np.eye(n)
-            b = rng.standard_normal(n)
-            assert np.allclose(solve_spd(a, b), np.linalg.solve(a, b), atol=1e-9)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            solve_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([1.0, 1.0]))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises((NotPositiveDefiniteError, DimensionError)):
-            solve_spd(np.array([[1.0, 5.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
 
 
 class TestPowerChain:
@@ -111,7 +64,6 @@ class TestSubsets:
         for p, k in [(4, 2), (6, 3), (8, 5), (14, 10), (16, 15)]:
             subsets = index_subsets(p, k)
             assert subsets.shape == (math.comb(p, k), k)
-            assert subset_count(p, k) == math.comb(p, k)
 
     def test_lexicographic_and_strictly_increasing_rows(self):
         subsets = index_subsets(6, 3)
@@ -123,7 +75,7 @@ class TestSubsets:
         grid = {(3, 3): 1, (3, 6): 20, (3, 8): 56, (6, 10): 210,
                 (8, 13): 1287, (10, 14): 1001, (12, 15): 455, (15, 16): 16}
         for (d, p), count in grid.items():
-            assert subset_count(p, d) == count
+            assert index_subsets(p, d).shape == (count, d)
 
 
 class TestBlockExpm:

@@ -15,7 +15,6 @@ from zonoinv.parameterizations import (
     sfg_log_volume_grad_hess,
     sfg_precompute_weights,
     sfg_volume,
-    utpd_log_volume_grad,
     utpd_volume,
 )
 from zonoinv.zonotope import Zonotope, volume_exact
@@ -191,8 +190,8 @@ class TestUtpdVolume:
             utpd_volume(g)
 
     def test_gradient(self):
-        g = np.array([[1.0, 5.0], [0.0, 2.0]])
-        grad = utpd_log_volume_grad(g)
+        param = UtpdParameterization(2)
+        _, grad, _ = param.log_volume(param.pack([[1.0, 5.0], [0.0, 2.0]]))
         assert np.allclose(grad, [1.0, 0.0, 0.5])
 
 

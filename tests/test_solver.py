@@ -49,6 +49,19 @@ class TestSolverOptions:
         with pytest.raises(SchemaError):
             SolverOptions(gap_tol=0.0)
 
+    def test_rejects_non_finite_and_mistyped_fields(self):
+        # Options also come from JSON files, which may hold strings, NaN,
+        # fractions or booleans where numbers belong.
+        for field, value in [
+            ("time_limit", "abc"), ("time_limit", float("inf")), ("time_limit", 0.0),
+            ("max_newton", 2.5), ("max_newton", True), ("max_newton", 0),
+            ("mu0", float("nan")), ("gap_tol", float("inf")), ("armijo", "1e-4"),
+            ("kkt_tol", None), ("backtrack", False), ("mu_factor", 0.0),
+        ]:
+            with pytest.raises(SchemaError, match=rf"options\.{field}"):
+                SolverOptions(**{field: value})
+        assert SolverOptions(time_limit=2, max_newton=np.int64(3), mu0=np.float64(2.0)).max_newton == 3
+
     def test_from_dict_rejects_unknown_field(self):
         with pytest.raises(SchemaError):
             SolverOptions.from_dict({"gap_tol": 1e-8, "turbo": True})
@@ -127,7 +140,7 @@ class TestLpCrossCheck:
 
             c_vec = np.zeros(system.layout.n)
             c_vec[system.layout.free] = 1.0
-            best, _ = lp_vertex_optimum(c_vec, system.dense(), system.b)
+            best, _ = lp_vertex_optimum(c_vec, system.C.toarray(), system.b)
             assert result.objective_value == pytest.approx(best, rel=1e-6, abs=1e-7)
 
 
@@ -252,7 +265,7 @@ class TestStructuredNewtonStep:
 
     @staticmethod
     def dense_matrix(system, d_row, neg_hess, free):
-        c = system.dense()
+        c = system.C.toarray()
         h = (c * d_row[:, np.newaxis]).T @ c
         h[np.ix_(free, free)] += neg_hess
         return h
@@ -279,7 +292,7 @@ class TestStructuredNewtonStep:
         for system, free in self.systems():
             m, n = system.shape
             d_row = np.exp(rng.uniform(-2.0, 2.0, m))
-            c = system.dense()
+            c = system.C.toarray()
             gram_diag = np.diag((c * d_row[:, np.newaxis]).T @ c)
             peak = float(np.max(gram_diag))
             # Below zero at a free coordinate, yet smaller than the shift.
@@ -326,7 +339,7 @@ class TestDenseFactorizationFailure:
             attempts.append(h.copy())
             return potrf(h, **kwargs)
 
-        c = system.dense()
+        c = system.C.toarray()
         kkt = _KKTSolver(c, n, (), (), free)
         monkeypatch.setattr(solver, "_potrf", counting_potrf, raising=True)
         # reg_floor = 1: the shift is 1 + max diag(C^T C), far below 1e6.
@@ -362,7 +375,7 @@ class TestCenterSlacks:
         layout = system.layout
         assert bool(layout.elim_blocks) == (kind == "utpd")
         objective = EmbeddedObjective.from_layout(layout, make_objective("lgv", problem.parameterization))
-        c_op = system.C if layout.elim_blocks else system.dense()
+        c_op = system.C if layout.elim_blocks else system.C.toarray()
         kkt = _KKTSolver(c_op, layout.n, layout.elim_blocks, layout.block_rows, objective.free_idx)
         options = SolverOptions()
         z0, _ = phase1_feasible_point(system, warm_start_point(problem, layout), options)
