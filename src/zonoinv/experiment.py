@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .files import _load_json, write_json
+from .numerics import is_finite_positive
 from .solver import OPTIMAL, SolveResult, SolverOptions, solve_invariance
 from .sysgen import DEFAULT_DT, DEFAULT_HORIZON, TrialSpec, derive_trial_seed, make_trial
 from .zonotope import Zonotope
@@ -157,8 +158,8 @@ def config_from_dict(raw: dict, context: str = "config") -> ExperimentConfig:
         raise SchemaError(f"{context}.dt: expected a positive number")
 
     time_limit = raw.get("time_limit")
-    if time_limit is not None and (not isinstance(time_limit, (int, float)) or time_limit <= 0):
-        raise SchemaError(f"{context}.time_limit: expected a positive number or null")
+    if time_limit is not None and not is_finite_positive(time_limit):
+        raise SchemaError(f"{context}.time_limit: expected a finite positive number or null")
 
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):

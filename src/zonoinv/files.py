@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .invariance import AffineSystem, InvarianceProblem
+from .numerics import is_finite_positive
 from .parameterizations import (
     OBJECTIVE_TOKENS,
     SfgParameterization,
@@ -69,6 +70,12 @@ def _as_float_array(value, context: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"{context}: values must be finite")
     return arr
+
+
+def _positive_real(value, context: str) -> float:
+    if not is_finite_positive(value):
+        raise SchemaError(f"{context}: expected a finite positive number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +184,11 @@ def problem_from_dict(raw: dict, context: str = "problem"):
             raise SchemaError(
                 f"{context}.parameterization.template: expected {d} rows to match A"
             )
-        floor = param_raw.get("scale_floor", 1e-6)
-        parameterization = SfgParameterization(template, scale_floor=float(floor))
+        floor = _positive_real(param_raw.get("scale_floor", 1e-6), f"{context}.parameterization.scale_floor")
+        parameterization = SfgParameterization(template, scale_floor=floor)
     elif kind == "utpd":
-        floor = param_raw.get("diag_floor", 1e-6)
-        parameterization = UtpdParameterization(d, diag_floor=float(floor))
+        floor = _positive_real(param_raw.get("diag_floor", 1e-6), f"{context}.parameterization.diag_floor")
+        parameterization = UtpdParameterization(d, diag_floor=floor)
     else:
         raise SchemaError(
             f"{context}.parameterization.kind: expected 'sfg' or 'utpd', got {kind!r}"

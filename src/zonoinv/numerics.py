@@ -3,11 +3,12 @@
 All routines operate on plain ``numpy`` arrays of ``float64``.  The validation
 helpers :func:`as_matrix` and :func:`as_vector` are the single entry point for
 turning user-supplied data into arrays: they coerce dtype, check shape, and
-reject non-finite entries.
+reject non-finite entries; :func:`is_finite_positive` checks a scalar setting.
 """
 
 from __future__ import annotations
 
+import numbers
 from itertools import combinations
 
 import numpy as np
@@ -17,10 +18,16 @@ from .errors import DimensionError
 __all__ = [
     "as_matrix",
     "as_vector",
+    "is_finite_positive",
     "power_chain",
     "index_subsets",
     "block_expm",
 ]
+
+
+def is_finite_positive(value) -> bool:
+    """True for a finite real number above zero that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 < value < np.inf
 
 
 def as_matrix(values, *, rows: int | None = None, cols: int | None = None, name: str = "matrix") -> np.ndarray:

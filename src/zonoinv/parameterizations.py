@@ -107,8 +107,8 @@ class SfgParameterization:
 
     def __post_init__(self):
         tpl = as_matrix(self.template, name="template")
-        if self.scale_floor <= 0.0:
-            raise DomainError(f"scale_floor must be positive, got {self.scale_floor}")
+        if not 0.0 < self.scale_floor < np.inf:
+            raise DomainError(f"scale_floor must be finite and positive, got {self.scale_floor}")
         object.__setattr__(self, "template", tpl)
         object.__setattr__(self, "weights", sfg_precompute_weights(tpl))
 
@@ -211,8 +211,8 @@ class UtpdParameterization:
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionError(f"dimension must be >= 1, got {self.dim}")
-        if self.diag_floor <= 0.0:
-            raise DomainError(f"diag_floor must be positive, got {self.diag_floor}")
+        if not 0.0 < self.diag_floor < np.inf:
+            raise DomainError(f"diag_floor must be finite and positive, got {self.diag_floor}")
         rows, cols = np.triu_indices(self.dim)
         object.__setattr__(self, "_tri", (rows, cols))
         object.__setattr__(self, "_diag_pos", np.flatnonzero(rows == cols))

@@ -1,40 +1,35 @@
-"""Log-barrier interior-point solver for concave maximization over ``C z <= b``.
+"""Primal-dual interior-point solver for concave maximization over ``C z <= b``.
 
-The solver maximizes a concave objective ``f`` over a polyhedron by
-minimizing ``phi_mu(z) = -f(z) - mu * sum(log(b - C z))`` for a decreasing
-sequence of barrier weights ``mu``, taking damped Newton steps with a
-backtracking (Armijo) line search that keeps every iterate strictly feasible.
-A stage is converged when half the squared Newton decrement drops below a
-tolerance, and the outer loop stops at the first stage with
-``m * mu < gap_tol`` (the standard barrier duality-gap bound).  ``mu``
-starts at 1 and shrinks 50x per stage, so a solve takes 8 stages (16-18 at
-the former 5x) of typically 5-25 Newton steps; the first stage, which
-centers the warm start, is the longest.  Longer stages are offset by fewer
-of them: the total Newton count is flat over a wide range of per-stage
-reductions (Boyd & Vandenberghe, *Convex Optimization*, Sec. 11.3.3).
+The method follows Waechter & Biegler (Math. Prog. 106, 2006, Sec. 2-3) on
+``C z + s = b`` with slacks ``s > 0`` and duals ``lambda > 0``.  At barrier
+weight ``mu`` each Newton step solves ``(-hess f + C^T diag(lambda / s) C)
+dz = grad f - mu C^T (1 / s)``, whose right-hand side is minus the gradient
+of ``phi_mu(z) = -f(z) - mu * sum(log(b - C z))``.  A backtracking (Armijo)
+line search on ``phi_mu`` keeps the iterates strictly feasible, the slacks
+are recomputed as ``b - C z``, and the duals take a fraction-to-boundary
+step toward ``mu / s``.  A stage ends when the scaled dual residual and the
+complementarity error are within ``10 mu``; ``mu`` then falls
+superlinearly, and the solve is optimal once ``s^T lambda`` and the scaled
+dual residual are below ``gap_tol``.  A solve typically takes 6-7 stages
+and 15-45 Newton steps.
 
-Newton systems are solved by Cholesky, calling LAPACK ``potrf``/``potrs``
-directly.  For the lifted triangular-parameterization systems the lifted
-variables are eliminated first: the layout records, for each (time step,
-state row) block of d lifted variables, the rows that touch it (one aux-row
-pair per variable and one box-row pair shared by all of them), so the
-block's barrier Hessian is diagonal plus rank one and Sherman-Morrison
-inverts it in O(d).  The Schur
-complement onto the center, the packed triangle and the t = 0 auxiliaries
-(about d^2 "kept" variables instead of thousands) is then formed in closed
-form from the recorded rows; phase 1's extra variable is one more kept
-column.
+Newton systems are solved by Cholesky (LAPACK ``potrf``/``potrs``).  In
+the lifted triangular systems each (time step, state row) block of d lifted
+variables touches only its recorded rows (one aux-row pair per variable,
+one box-row pair shared by all), so its Newton block is diagonal plus rank
+one and Sherman-Morrison inverts it in O(d); the Schur complement onto the
+about d^2 "kept" variables (phase 1's extra one included) is formed in
+closed form from the recorded rows.
 
 Phase 1 first tries a caller-provided warm-start point; if some slack is
 below the strict-feasibility margin it maximizes ``-s`` subject to
-``C z - s 1 <= b`` and ``s >= -1`` (the extra bound keeps the auxiliary
-problem bounded; only the sign of the optimum matters) and declares the
-problem infeasible when the optimal ``s`` is not clearly negative.
+``C z - s 1 <= b`` and ``s >= -1`` (only the sign of the optimum matters)
+with the same loop, and declares the problem infeasible when the optimal
+``s`` is not clearly negative.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
@@ -52,6 +47,7 @@ from .invariance import (
     check_invariance_certificate,
     warm_start_point,
 )
+from .numerics import is_finite_positive
 from .parameterizations import make_objective
 from .zonotope import Zonotope
 
@@ -73,17 +69,23 @@ OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
 INFEASIBLE = "infeasible"
 NUMERICAL_FAILURE = "numerical_failure"
+_KAPPA = 1e10  # the duals stay within this factor of mu / s
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Barrier-method knobs; every field has a working default.
+    """Interior-point knobs; every field has a working default.
 
-    ``mu_factor`` = 0.02 was picked by a sweep over {0.2, 0.1, 0.05, 0.02,
-    0.01} on the benchmark workloads: mean Newton steps per solve fell from
-    123 to 63 (``small_mixed``) and from 143 to 88 (``utpd_lifted``) between
-    0.2 and 0.02 and by about 4% more at 0.01, in line with the flat total
-    Newton count of Boyd & Vandenberghe, *Convex Optimization*, Sec. 11.3.3.
+    ``mu_factor`` bounds the per-stage reduction of the barrier weight:
+    ``mu <- max(gap_tol / (10 m), min(mu_factor * mu, mu**1.5))`` for m
+    constraint rows (Waechter & Biegler, Math. Prog. 106, 2006, eq. 7), so
+    once ``mu < mu_factor**2`` the ``mu**1.5`` term takes over.  There is no
+    absolute Newton-decrement tolerance: a stage ends on the relative dual
+    residual and the complementarity error, and ``max_newton`` caps its
+    Newton steps.  ``reg_floor`` sizes the shift of the one retried Cholesky
+    factorization relative to the largest entry of ``C^T D C``; near
+    ``mu = 1e-12`` round-off alone breaks definiteness, and a shift far
+    above it (1e-10) damps the final steps until a stage runs out of them.
 
     ``time_limit`` (seconds, wall clock) is None by default because any
     time-dependent branching breaks bitwise determinism of the iterate
@@ -100,8 +102,7 @@ class SolverOptions:
     max_newton: int = 50
     backtrack: float = 0.5
     armijo: float = 1e-4
-    reg_floor: float = 1e-10
-    newton_tol: float = 1e-9
+    reg_floor: float = 1e-13
     kkt_tol: float = 1e-4
     phase1_margin: float = 1e-6
     time_limit: float | None = None
@@ -113,10 +114,7 @@ class SolverOptions:
                 ok = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
                 need = "an integer >= 1"
             else:
-                ok = (value is None and f.name == "time_limit") or (
-                    isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and math.isfinite(value) and value > 0.0
-                )
+                ok = (value is None and f.name == "time_limit") or is_finite_positive(value)
                 need = "a finite positive number"
             if not ok:
                 raise SchemaError(f"options.{f.name} must be {need}, got {value!r}")
@@ -139,8 +137,9 @@ class SolveResult:
 
     ``volume`` is filled by :func:`solve_invariance` (recomputed from the
     decoded zonotope via the closed-form volume) and present iff the status
-    is ``optimal``.  ``stage_objectives`` records the objective after each
-    barrier stage; it is nondecreasing up to round-off.
+    is ``optimal``.  ``stage_objectives`` records the objective at the end of
+    each barrier stage, one entry per barrier weight, the last at the final
+    iterate; it is nondecreasing up to round-off.
     """
 
     status: str
@@ -192,9 +191,10 @@ class EmbeddedObjective:
 class _KKTSolver:
     """Newton-system solver ``H delta = r`` for ``H = C^T diag(D) C - hess_f``.
 
-    ``H`` is positive definite at strictly feasible points (the constraint
-    matrix has full column rank by construction).  Without elimination
-    blocks ``C`` is dense and ``H`` is formed whole and factored by Cholesky.
+    ``D = lambda / s`` (duals over slacks, both positive) is the row scaling
+    of the primal-dual iteration, so ``H`` is positive definite at strictly
+    feasible points (``C`` has full column rank by construction).  Without
+    elimination blocks ``C`` is dense and ``H`` is formed whole.
 
     With blocks (the lifted triangular systems), the variables of block b
     appear only in its recorded rows (``VariableLayout.block_rows``): pair
@@ -382,60 +382,44 @@ class _KKTSolver:
         return delta
 
 
-def _barrier_value(f_value: float, mu: float, slacks: np.ndarray) -> float:
-    return -f_value - mu * float(np.sum(np.log(slacks)))
+def _step(c_matrix, b, objective, z, slacks, lam, mu, f_value, grad, hess_free, options, kkt):
+    """One primal-dual Newton step at barrier weight ``mu`` from ``z``, where
+    the objective has value ``f_value``, full gradient ``grad`` and free-block
+    Hessian ``hess_free``.  Returns the new ``(z, b - C z, lam)``, or None
+    when the line search finds no acceptable step."""
+    inv_s = 1.0 / slacks
+    grad_phi = -grad + mu * (c_matrix.T @ inv_s)
+    delta, dec_sq = kkt.step(lam * inv_s, -hess_free, -grad_phi, options.reg_floor)
+    if not np.isfinite(dec_sq):
+        raise np.linalg.LinAlgError("Newton decrement is not finite")
 
+    step_dir = c_matrix @ delta  # the slack step is -step_dir
+    increasing = step_dir > 0.0
+    alpha = min(1.0, 0.99 * float(np.min(slacks[increasing] / step_dir[increasing], initial=np.inf)))
+    phi_here = -f_value - mu * float(np.sum(np.log(slacks)))
+    while alpha >= 1e-16:
+        z_new = z + alpha * delta
+        s_new = slacks - alpha * step_dir
+        if np.min(s_new) > 0.0:
+            try:
+                phi_new = -objective.value(z_new) - mu * float(np.sum(np.log(s_new)))
+            except DomainError:
+                phi_new = np.inf
+            if phi_new <= phi_here - options.armijo * alpha * dec_sq:  # dec_sq = -grad_phi . delta
+                break
+        alpha *= options.backtrack
+    else:
+        return None
 
-def _center(c_matrix, b, objective, z, mu, options, deadline, counters):
-    """Newton-center ``phi_mu`` from ``z``; returns (z, slacks, flag, last_step).
-
-    ``flag`` is one of "converged", "maxiter", "time", "stall".  ``last_step``
-    is the final Newton direction (used for corrected dual estimates).
-    Iterates remain strictly feasible throughout.  The slacks ``b - C z`` are
-    computed once on entry; the line search then moves them along the
-    ``C delta`` it already needs for the step bound, so the returned slacks
-    carry the round-off of one stage's updates.
-    """
-    slacks = b - c_matrix @ z
-    delta = None
-    for _ in range(options.max_newton):
-        if deadline is not None and time.perf_counter() > deadline:
-            return z, slacks, "time", delta
-        f_value, grad_free, hess_free = objective.value_grad_hess(z)
-        inv_s = 1.0 / slacks
-        grad_phi = -objective.grad_full(grad_free) + mu * (c_matrix.T @ inv_s)
-        rhs = -grad_phi
-        delta, dec_sq = counters["kkt"].step(mu * inv_s**2, -hess_free, rhs, options.reg_floor)
-        counters["iterations"] += 1
-        if not np.isfinite(dec_sq):
-            raise np.linalg.LinAlgError("Newton decrement is not finite")
-        if 0.5 * dec_sq <= options.newton_tol:
-            return z, slacks, "converged", delta
-
-        step_dir = c_matrix @ delta
-        increasing = step_dir > 0.0
-        alpha = 1.0
-        if np.any(increasing):
-            alpha = min(1.0, 0.99 * float(np.min(slacks[increasing] / step_dir[increasing])))
-        phi_here = _barrier_value(f_value, mu, slacks)
-        slope = float(grad_phi @ delta)  # equals -dec_sq
-        accepted = False
-        while alpha >= 1e-16:
-            z_new = z + alpha * delta
-            s_new = slacks - alpha * step_dir
-            if np.min(s_new) > 0.0:
-                try:
-                    phi_new = _barrier_value(objective.value(z_new), mu, s_new)
-                except DomainError:
-                    phi_new = np.inf
-                if phi_new <= phi_here + options.armijo * alpha * slope:
-                    z, slacks = z_new, s_new
-                    accepted = True
-                    break
-            alpha *= options.backtrack
-        if not accepted:
-            return z, slacks, "stall", delta
-    return z, slacks, "maxiter", delta
+    # Dual step toward mu / s along the linearized complementarity, kept
+    # positive by the fraction-to-boundary rule, then held within a factor
+    # kappa of the primal estimate mu / s (Waechter & Biegler 2006, eq. 16).
+    s_new = b - c_matrix @ z_new
+    d_lam = mu * inv_s - lam + lam * inv_s * step_dir
+    falling = d_lam < 0.0
+    alpha_lam = min(1.0, 0.99 * float(np.min(lam[falling] / -d_lam[falling], initial=np.inf)))
+    lam = np.clip(lam + alpha_lam * d_lam, mu / (_KAPPA * s_new), _KAPPA * mu / s_new)
+    return z_new, s_new, lam
 
 
 def maximize(
@@ -449,8 +433,8 @@ def maximize(
     options = options or SolverOptions()
     t0 = time.perf_counter()
     z = np.array(x0, dtype=float)
-    m = system.b.shape[0]
-    if np.min(system.slacks(z)) <= 0.0:
+    slacks = system.slacks(z)
+    if np.min(slacks) <= 0.0:
         raise DomainError("x0 is not strictly feasible")
 
     # Systems without elimination blocks have dense rows and run on dense
@@ -458,56 +442,61 @@ def maximize(
     c_op = system.C if system.layout.elim_blocks else system.C.toarray()
     layout = system.layout
     kkt = _KKTSolver(c_op, layout.n, layout.elim_blocks, layout.block_rows, objective.free_idx)
-    counters = {"iterations": 0, "kkt": kkt}
-    stage_objectives: list[float] = []
     mu = options.mu0
-    status = None
-    message = ""
-    last_step = None
+    mu_min = options.gap_tol / (10.0 * slacks.size)
+    lam = mu / slacks
+    stage_objectives: list[float] = []
+    iterations = steps = 0
+    status, message = None, ""
     while True:
+        if deadline is not None and time.perf_counter() > deadline:
+            status, message = MAX_ITERATIONS, "time limit reached"
+            break
+        f_value, grad_free, hess_free = objective.value_grad_hess(z)
+        grad = objective.grad_full(grad_free)
+        scale = 1.0 + float(np.max(np.abs(grad_free), initial=0.0))
+        dual = float(np.max(np.abs(grad - c_op.T @ lam))) / scale
+        if float(slacks @ lam) < options.gap_tol and dual <= options.gap_tol:
+            status = OPTIMAL
+            break
+        # A stage ends when its residuals are within 10 mu of the central
+        # path, or after max_newton steps; mu then falls superlinearly
+        # (Waechter & Biegler 2006, eq. 7) down to its floor.
+        while mu > mu_min and (
+            steps == options.max_newton
+            or max(dual, float(np.max(np.abs(slacks * lam - mu)))) <= 10.0 * mu
+        ):
+            stage_objectives.append(objective.value(z))
+            mu = max(mu_min, min(options.mu_factor * mu, mu**1.5))
+            steps = 0
+        if steps == options.max_newton:
+            status, message = MAX_ITERATIONS, "final barrier stage did not converge"
+            break
         try:
-            z, slacks, flag, last_step = _center(c_op, system.b, objective, z, mu, options, deadline, counters)
+            point = _step(c_op, system.b, objective, z, slacks, lam, mu, f_value, grad, hess_free, options, kkt)
         except np.linalg.LinAlgError as exc:
             status, message = NUMERICAL_FAILURE, f"Newton system factorization failed: {exc}"
             break
-        stage_objectives.append(objective.value(z))
-        if flag == "time":
-            status, message = MAX_ITERATIONS, "time limit reached"
-            break
-        if flag == "stall":
+        iterations += 1
+        steps += 1
+        if point is None:
             status, message = NUMERICAL_FAILURE, "line search stalled"
             break
-        if m * mu < options.gap_tol:
-            status = OPTIMAL if flag == "converged" else MAX_ITERATIONS
-            if status == MAX_ITERATIONS:
-                message = "final barrier stage did not converge"
-            break
-        mu *= options.mu_factor
+        z, slacks, lam = point
+    stage_objectives.append(objective.value(z))
 
     result = SolveResult(
         status=status,
         z=z,
         objective_value=float(objective.value(z)),
-        iterations=counters["iterations"],
+        iterations=iterations,
         wall_time=time.perf_counter() - t0,
         stage_objectives=stage_objectives,
         message=message,
     )
     if status == OPTIMAL:
-        # Newton-corrected dual estimate: first-order update of mu/s along the
-        # final step, which cancels the barrier term of the stationarity
-        # residual at an approximate center.  It takes the slacks that step
-        # was computed from: the step can move an active slack by most of its
-        # value, so a relative difference e between two slack vectors shifts
-        # the estimate by up to about 3 e mu / s.
-        inv_s = 1.0 / slacks
-        duals = mu * inv_s
-        if last_step is not None:
-            duals = np.maximum(duals + (mu * inv_s**2) * (c_op @ last_step), 0.0)
-        residual = kkt_residual(system, objective, z, duals)
+        residual = kkt_residual(system, objective, z, lam)
         result.kkt_residual = residual
-        _, grad_free, _ = objective.value_grad_hess(z)
-        scale = 1.0 + float(np.max(np.abs(grad_free), initial=0.0))
         if residual > options.kkt_tol * scale:
             result.status = NUMERICAL_FAILURE
             result.message = f"KKT residual {residual:.3e} above tolerance"
@@ -578,13 +567,9 @@ def phase1_feasible_point(
         lambda x: (-float(x[0]), np.array([-1.0]), np.zeros((1, 1))),
     )
     result = maximize(aux, objective, x0, options, deadline)
-    iterations = result.iterations
-    if result.status not in (OPTIMAL, MAX_ITERATIONS) or result.z is None:
-        return None, iterations
-    s_star = float(result.z[n])
-    if s_star >= -margin:
-        return None, iterations
-    return result.z[:n].copy(), iterations
+    if result.status not in (OPTIMAL, MAX_ITERATIONS) or result.z[n] >= -margin:
+        return None, result.iterations
+    return result.z[:n].copy(), result.iterations
 
 
 def solve_invariance(problem: InvarianceProblem, options: SolverOptions | None = None) -> SolveResult:

@@ -93,6 +93,20 @@ class TestSolve:
             assert f"options.{next(iter(options))}" in err
             assert "Traceback" not in err
 
+    def test_bad_floor_exit_one_names_field(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        for kind, field in [("sfg", "scale_floor"), ("utpd", "diag_floor")]:
+            for value in ("abc", float("nan"), float("inf"), True):
+                raw = feasible_problem_dict()
+                if kind == "utpd":
+                    raw["parameterization"] = {"kind": "utpd"}
+                raw["parameterization"][field] = value
+                write_json(path, raw)
+                code, out, err = run_cli(capsys, "solve", str(path))
+                assert code == 1 and out == ""
+                assert f"parameterization.{field}" in err
+                assert "Traceback" not in err
+
     def test_missing_file_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "solve", "/nonexistent/problem.json")
         assert code == 1

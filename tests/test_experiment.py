@@ -74,6 +74,11 @@ class TestConfigParsing:
         assert config.options().gap_tol == 1e-9
         assert config.options().time_limit == 30.0
 
+    def test_boolean_time_limit_rejected(self):
+        # JSON true is not a one-second budget.
+        with pytest.raises(SchemaError, match="time_limit"):
+            config_from_dict({"grid": [[2, 3, 1]], "master_seed": 1, "time_limit": True})
+
     def test_missing_grid(self):
         with pytest.raises(SchemaError, match="grid"):
             config_from_dict({"master_seed": 1})

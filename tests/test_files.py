@@ -167,6 +167,15 @@ class TestProblemSchemaErrors:
         with pytest.raises(SchemaError, match="kind"):
             problem_from_dict(raw)
 
+    def test_bad_floor_values_named(self):
+        # Strings, NaN, infinity and booleans are not floors.
+        for kind, field in [("sfg", "scale_floor"), ("utpd", "diag_floor")]:
+            for value in ["abc", float("nan"), float("inf"), True]:
+                raw = problem_to_dict(sample_problem(kind))
+                raw["parameterization"][field] = value
+                with pytest.raises(SchemaError, match=rf"problem\.parameterization\.{field}"):
+                    problem_from_dict(raw)
+
     def test_template_rows_must_match(self):
         raw = sample_dict()
         raw["parameterization"]["template"] = [[1.0, 0.0]]

@@ -47,6 +47,15 @@ class TestSubsetWeights:
             assert w.count == math.comb(p, d) == count
 
 
+class TestFloors:
+    def test_rejects_non_finite_and_nonpositive_floors(self):
+        for value in (0.0, -1e-6, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="scale_floor"):
+                SfgParameterization(np.eye(2), scale_floor=value)
+            with pytest.raises(DomainError, match="diag_floor"):
+                UtpdParameterization(2, diag_floor=value)
+
+
 class TestSfgVolume:
     def test_hand_example(self):
         template = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
