@@ -32,6 +32,7 @@ from .files import (
     write_json,
 )
 from .invariance import certificate_violation
+from .numerics import is_finite_positive
 from .oracle import mc_volume, simulate_invariance
 from .solver import INFEASIBLE, OPTIMAL, SolverOptions, solve_invariance
 from .sysgen import DEFAULT_DT, DEFAULT_HORIZON, TrialSpec, derive_trial_seed, make_trial
@@ -93,7 +94,14 @@ def _emit(payload: dict, output_path: str | None) -> None:
         write_json(output_path, payload)
 
 
+def _check_time_limit(args) -> None:
+    """Reject a ``--time-limit`` that is not a finite positive number, before anything runs."""
+    if args.time_limit is not None and not is_finite_positive(args.time_limit):
+        raise ZonoinvError(f"--time-limit must be a finite positive number of seconds, got {args.time_limit!r}")
+
+
 def _cmd_solve(args) -> int:
+    _check_time_limit(args)
     problem, options, _ = load_problem(args.problem)
     if options is None:
         options = SolverOptions()
@@ -114,6 +122,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    _check_time_limit(args)
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)

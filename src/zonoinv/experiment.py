@@ -141,8 +141,9 @@ def config_from_dict(raw: dict, context: str = "config") -> ExperimentConfig:
     methods_raw = raw.get("methods", list(METHODS))
     if not isinstance(methods_raw, list) or not methods_raw:
         raise SchemaError(f"{context}.methods: expected a nonempty list")
-    for token in methods_raw:
-        parse_method(token)
+    for i, token in enumerate(methods_raw):
+        if token not in METHODS:
+            raise SchemaError(f"{context}.methods[{i}]: expected one of {list(METHODS)}, got {token!r}")
 
     if "master_seed" not in raw:
         raise SchemaError(f"{context}: missing required field 'master_seed'")
@@ -154,8 +155,8 @@ def config_from_dict(raw: dict, context: str = "config") -> ExperimentConfig:
     horizon = raw.get("horizon", DEFAULT_HORIZON)
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
         raise SchemaError(f"{context}.horizon: expected a nonnegative integer")
-    if not isinstance(dt, (int, float)) or isinstance(dt, bool) or dt <= 0:
-        raise SchemaError(f"{context}.dt: expected a positive number")
+    if not is_finite_positive(dt):
+        raise SchemaError(f"{context}.dt: expected a finite positive number")
 
     time_limit = raw.get("time_limit")
     if time_limit is not None and not is_finite_positive(time_limit):
@@ -179,7 +180,10 @@ def config_from_dict(raw: dict, context: str = "config") -> ExperimentConfig:
         output_dir=output_dir,
         solver_options=tuple(sorted(solver_options.items())),
     )
-    config.options()  # validate solver options eagerly
+    try:
+        config.options()  # validate solver options eagerly
+    except SchemaError as exc:  # "options.<field> ..." from SolverOptions
+        raise SchemaError(f"{context}.solver_{exc}") from exc
     return config
 
 

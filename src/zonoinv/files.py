@@ -13,13 +13,14 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, UnsupportedError
 from .invariance import AffineSystem, InvarianceProblem
 from .numerics import is_finite_positive
 from .parameterizations import (
     OBJECTIVE_TOKENS,
     SfgParameterization,
     UtpdParameterization,
+    make_objective,
 )
 from .solver import SolveResult, SolverOptions
 from .zonotope import Box, Zonotope
@@ -199,6 +200,10 @@ def problem_from_dict(raw: dict, context: str = "problem"):
         raise SchemaError(
             f"{context}.objective: expected one of {sorted(OBJECTIVE_TOKENS)}, got {objective!r}"
         )
+    try:
+        make_objective(objective, parameterization)
+    except UnsupportedError as exc:
+        raise SchemaError(f"{context}.objective: {exc}") from exc
 
     options = None
     if "options" in raw:

@@ -222,18 +222,16 @@ def assemble_sfg(problem: InvarianceProblem) -> LinearInequalitySystem:
     drifts = _drift_table(problem.system, T)
     lo, up = problem.box.lower, problem.box.upper
 
+    floor_base = 2 * d * (T + 1)
     c_mat = np.zeros((m, n))
     b = np.zeros(m)
-    for t in range(T + 1):
-        abs_rows = np.abs(powers[t] @ param.template)      # |A^t G|, (d, p)
-        base = 2 * d * t
-        c_mat[base:base + d, :d] = -powers[t]
-        c_mat[base:base + d, d:] = abs_rows
-        b[base:base + d] = drifts[t] - lo
-        c_mat[base + d:base + 2 * d, :d] = powers[t]
-        c_mat[base + d:base + 2 * d, d:] = abs_rows
-        b[base + d:base + 2 * d] = up - drifts[t]
-    floor_base = 2 * d * (T + 1)
+    reach = c_mat[:floor_base].reshape(T + 1, 2, d, n)      # [t, lower/upper, i, :]
+    reach[:, 0, :, :d] = -powers
+    reach[:, 1, :, :d] = powers
+    reach[:, :, :, d:] = np.abs(powers @ param.template)[:, np.newaxis]   # |A^t G|
+    reach_b = b[:floor_base].reshape(T + 1, 2, d)
+    reach_b[:, 0] = drifts - lo
+    reach_b[:, 1] = up - drifts
     c_mat[floor_base + np.arange(p), d + np.arange(p)] = -1.0
     b[floor_base:] = -param.scale_floor
 
@@ -359,16 +357,9 @@ def certificate_violation(system: AffineSystem, box: Box, horizon: int, zonotope
     if zonotope.dim != system.dim or box.dim != system.dim:
         raise DimensionError("system, box and zonotope dimensions must agree")
     powers = power_chain(system.A, horizon)
-    drifts = _drift_table(system, horizon)
-    worst = 0.0
-    for t in range(horizon + 1):
-        center = powers[t] @ zonotope.center + drifts[t]
-        radius = np.sum(np.abs(powers[t] @ zonotope.generators), axis=1)
-        worst = max(
-            worst,
-            float(np.max(box.lower - (center - radius))),
-            float(np.max((center + radius) - box.upper)),
-        )
+    centers = powers @ zonotope.center + _drift_table(system, horizon)      # (T + 1, d)
+    radii = np.sum(np.abs(powers @ zonotope.generators), axis=2)
+    worst = max(float(np.max(box.lower - (centers - radii))), float(np.max((centers + radii) - box.upper)))
     return max(worst, 0.0)
 
 

@@ -10,16 +10,22 @@ are recomputed as ``b - C z``, and the duals take a fraction-to-boundary
 step toward ``mu / s``.  A stage ends when the scaled dual residual and the
 complementarity error are within ``10 mu``; ``mu`` then falls
 superlinearly, and the solve is optimal once ``s^T lambda`` and the scaled
-dual residual are below ``gap_tol``.  A solve typically takes 6-7 stages
-and 15-45 Newton steps.
+dual residual are below ``gap_tol``.  The reported KKT residual, the
+larger of ``max |grad f - C^T lambda|`` and ``max lambda_i s_i``, comes
+from that last check's gradient, duals and slacks, so the final point is
+differentiated once.  A solve typically takes 6-7 stages and 15-45 Newton
+steps.
 
-Newton systems are solved by Cholesky (LAPACK ``potrf``/``potrs``).  In
-the lifted triangular systems each (time step, state row) block of d lifted
-variables touches only its recorded rows (one aux-row pair per variable,
-one box-row pair shared by all), so its Newton block is diagonal plus rank
-one and Sherman-Morrison inverts it in O(d); the Schur complement onto the
-about d^2 "kept" variables (phase 1's extra one included) is formed in
-closed form from the recorded rows.
+The operators of a solve are built once per :func:`maximize` call, in
+:class:`_KKTSolver`: ``C``, its transpose and the block structure below, so
+each Newton step is arithmetic on fixed arrays.  Newton systems are solved
+by Cholesky (LAPACK ``potrf``/``potrs``).  In the lifted triangular
+systems each (time step, state row) block of d lifted variables touches
+only its recorded rows (one aux-row pair per variable, one box-row pair
+shared by all), so its Newton block is diagonal plus rank one and
+Sherman-Morrison inverts it in O(d); the Schur complement onto the about
+d^2 "kept" variables (phase 1's extra one included) is formed in closed
+form from the recorded rows.
 
 Phase 1 first tries a caller-provided warm-start point; if some slack is
 below the strict-feasibility margin it maximizes ``-s`` subject to
@@ -196,6 +202,11 @@ class _KKTSolver:
     feasible points (``C`` has full column rank by construction).  Without
     elimination blocks ``C`` is dense and ``H`` is formed whole.
 
+    One solver is built per :func:`maximize` call and holds every operator
+    of the solve: ``C``, its transpose ``CT`` for the products ``C^T v`` of
+    each step (a view of a dense ``C``, a CSR copy of a sparse one), and the
+    block structure below, so a Newton step is arithmetic on fixed arrays.
+
     With blocks (the lifted triangular systems), the variables of block b
     appear only in its recorded rows (``VariableLayout.block_rows``): pair
     j < d holds -1 on variable j, the last pair holds +1 on every variable.
@@ -207,39 +218,44 @@ class _KKTSolver:
     kept columns (its support), so the Schur complement onto the kept
     variables is formed in closed form and scattered in one ``bincount``:
     ``C_0^T D_0 C_0`` over the rows outside every block, a small dense term
-    per pair over its support, and the rank-one coupling between the pairs
-    of each block (Boyd & Vandenberghe, *Convex Optimization*, App. C.4:
-    block elimination with the matrix inversion lemma).  Construction checks
-    once that the block columns of ``C`` are exactly that pattern.
+    per pair over its support, the rank-one coupling between the pairs of
+    each block, and last ``-hess_f`` on the objective's variables (Boyd &
+    Vandenberghe, *Convex Optimization*, App. C.4: block elimination with
+    the matrix inversion lemma).  Construction checks once that the block
+    columns of ``C`` are exactly that pattern, then reads the rows outside
+    the blocks and every pair's support and coefficients from one pass over
+    the entries of ``C``.
     """
 
     def __init__(self, c_matrix, n: int, blocks: tuple, block_rows: tuple, free_idx: np.ndarray):
         self.C = c_matrix
+        self.CT = c_matrix.T.tocsr() if scipy.sparse.issparse(c_matrix) else c_matrix.T
         self.n = n
         self.n_blocks = len(blocks)
+        free_idx = np.asarray(free_idx, dtype=np.intp)
         if not blocks:
-            self.kept = np.arange(n, dtype=np.intp)
-            self._set_free(np.asarray(free_idx, dtype=np.intp))
+            # Row-major positions of the (free, free) entries of H.
+            self.free_flat = (free_idx[:, np.newaxis] * n + free_idx).ravel()
             return
 
         self.blocks = np.array(blocks, dtype=np.intp)               # (B, d)
         rows = np.array(block_rows, dtype=np.intp)                  # (B, d + 1, 2)
         n_blocks, blk = self.blocks.shape
+        m = c_matrix.shape[0]
         if rows.shape != (n_blocks, blk + 1, 2):
             raise ValueError("block_rows must hold d + 1 row pairs per elimination block")
-        if np.unique(self.blocks).size != self.blocks.size or np.unique(rows).size != rows.size:
+        if max(np.bincount(self.blocks.ravel()).max(), np.bincount(rows.ravel()).max()) > 1:
             raise ValueError("elimination blocks must not share variables or rows")
-        c_matrix = scipy.sparse.csr_matrix(c_matrix)
-        m = c_matrix.shape[0]
+        # The block columns of C, read as rows of C^T, against the recorded pattern.
         col = np.arange(n_blocks * blk).reshape(n_blocks, blk)
         pair_r, pair_c = np.broadcast_arrays(rows[:, :blk, :], col[:, :, np.newaxis])
         box_r, box_c = np.broadcast_arrays(rows[:, blk, :, np.newaxis], col[:, np.newaxis, :])
         expected = scipy.sparse.csr_matrix(
             (np.r_[-np.ones(pair_r.size), np.ones(box_r.size)],
-             (np.r_[pair_r.ravel(), box_r.ravel()], np.r_[pair_c.ravel(), box_c.ravel()])),
-            shape=(m, n_blocks * blk),
+             (np.r_[pair_c.ravel(), box_c.ravel()], np.r_[pair_r.ravel(), box_r.ravel()])),
+            shape=(n_blocks * blk, m),
         )
-        if (c_matrix[:, self.blocks.ravel()] != expected).nnz:
+        if (self.CT[self.blocks.ravel()] != expected).nnz:
             raise ValueError("elimination blocks are coupled: block columns of C do not match the recorded rows")
 
         is_kept = np.ones(n, dtype=bool)
@@ -248,36 +264,47 @@ class _KKTSolver:
         n_keep = self.kept.size
         kept_pos = np.full(n, -1, dtype=np.intp)
         kept_pos[self.kept] = np.arange(n_keep)
-        self._set_free(kept_pos[free_idx])
-        if np.any(self.free_kept < 0):
+        free_kept = kept_pos[free_idx]
+        if np.any(free_kept < 0):
             raise ValueError("objective variables must not be eliminated")
-        c_kept = c_matrix[:, self.kept]
         stride = n_keep + 1              # Schur entries are scattered into (n_keep + 1)^2
+        # One pass over the entries of C, in kept-column coordinates: the
+        # check above leaves nothing but the recorded entries in block columns.
+        entries = scipy.sparse.csr_matrix(c_matrix).tocoo()
+        on = is_kept[entries.col]
+        e_row, e_col, e_val = entries.row[on].astype(np.intp), kept_pos[entries.col[on]], entries.data[on]
 
         # C_0^T D_0 C_0 as one term per pair of stored entries in a row outside the blocks.
         outside = np.ones(m, dtype=bool)
         outside[rows.ravel()] = False
-        rows0 = np.flatnonzero(outside)
-        c0 = c_kept[rows0]
-        per_row = np.diff(c0.indptr)
-        entry_row = np.repeat(np.arange(c0.shape[0]), per_row)
-        sizes = per_row[entry_row]
-        left = np.repeat(np.arange(c0.nnz), sizes)
-        right = c0.indptr[entry_row[left]] + np.arange(left.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        self.gram_rows = rows0[entry_row[left]]
-        self.gram_vals = c0.data[left] * c0.data[right]
+        in0 = outside[e_row]
+        row0, col0, val0 = e_row[in0], e_col[in0], e_val[in0]
+        per_row = np.bincount(row0, minlength=m)
+        sizes = per_row[row0]
+        left = np.repeat(np.arange(row0.size), sizes)
+        first = np.cumsum(per_row) - per_row                       # index in row0 of each row's first entry
+        right = first[row0[left]] + np.arange(left.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        self.gram_rows = row0[left]
+        self.gram_vals = val0[left] * val0[right]
 
         # Row pair g of every block: (d + 1, 2B), first rows then second rows.
-        # Its kept coefficients are stored densely over the pair's support,
-        # padded with the dummy column n_keep.
+        # Its kept coefficients are stored densely over the pair's support
+        # (its kept columns, sorted), padded with the dummy column n_keep.
         self.pair_rows = rows.transpose(1, 2, 0).reshape(blk + 1, 2 * n_blocks)
-        supports = [np.unique(c_kept[r].indices) for r in self.pair_rows]
-        width = max(s.size for s in supports)
+        pair_of = np.full(m, -1, dtype=np.intp)
+        pair_of[self.pair_rows.ravel()] = np.arange(self.pair_rows.size)
+        in_pair = pair_of[e_row] >= 0
+        pair_row, pair_col = pair_of[e_row[in_pair]], e_col[in_pair]
+        key = pair_row // (2 * n_blocks) * n_keep + pair_col      # (g, kept column)
+        touched = np.zeros((blk + 1, n_keep), dtype=bool)
+        touched.ravel()[key] = True
+        slot = np.cumsum(touched, axis=1) - 1                      # slot of each column in its support
+        width = int(slot[:, -1].max()) + 1
         self.support = np.full((blk + 1, width), n_keep, dtype=np.intp)
+        support_g, support_col = np.nonzero(touched)
+        self.support[support_g, slot[support_g, support_col]] = support_col
         self.coef = np.zeros((blk + 1, 2 * n_blocks, width))
-        for g, (r, s) in enumerate(zip(self.pair_rows, supports)):
-            self.support[g, : s.size] = s
-            self.coef[g, :, : s.size] = c_kept[r][:, s].toarray()
+        self.coef.ravel()[pair_row * width + slot.ravel()[key]] = e_val[in_pair]
         self.coef_t = np.ascontiguousarray(self.coef.transpose(0, 2, 1))
         # Kept columns touched by the variable pairs, and the slot of each
         # padded support entry of each block in a (B, |cross| + 1) array.
@@ -288,19 +315,15 @@ class _KKTSolver:
         ).ravel()
         box = self.support[-1]
         # Flat targets in (n_keep + 1)^2 of the Schur terms, in the order
-        # ``_solve`` concatenates their values.
+        # ``_solve`` concatenates their values; -hess_f comes last.
         self.schur_flat = np.concatenate([
-            c0.indices[left] * stride + c0.indices[right],
+            col0[left] * stride + col0[right],
             (self.support[:, :, np.newaxis] * stride + self.support[:, np.newaxis, :]).ravel(),
             (self.cross[:, np.newaxis] * stride + self.cross).ravel(),
             (self.cross[:, np.newaxis] * stride + box).ravel(),
             (self.cross[:, np.newaxis] + box * stride).ravel(),
+            (free_kept[:, np.newaxis] * stride + free_kept).ravel(),
         ])
-
-    def _set_free(self, free_kept):
-        # Row-major positions of the (free, free) entries in the kept system.
-        self.free_kept = free_kept
-        self.free_flat = (free_kept[:, np.newaxis] * self.kept.size + free_kept).ravel()
 
     def step(self, d_row: np.ndarray, neg_hess_free: np.ndarray, rhs: np.ndarray, reg_floor: float):
         """Solve ``H delta = rhs``; returns (delta, rhs . delta).
@@ -318,12 +341,13 @@ class _KKTSolver:
                 if attempt == 1:
                     raise
                 # C^T D C is positive semidefinite: its largest entry is on the diagonal.
-                squares = self.C.power(2) if scipy.sparse.issparse(self.C) else self.C**2
-                shift = reg_floor * (1.0 + float(np.max(squares.T @ d_row, initial=1.0)))
+                squares = self.CT.power(2) if scipy.sparse.issparse(self.CT) else self.CT**2
+                shift = reg_floor * (1.0 + float(np.max(squares @ d_row, initial=1.0)))
 
     def _solve(self, d_row, neg_hess_free, rhs, shift):
         if not self.n_blocks:
             h = (self.C * d_row[:, np.newaxis]).T @ self.C
+            h.flat[self.free_flat] += neg_hess_free.ravel()
             r_kept = rhs
         else:
             n_b, n_keep = self.n_blocks, self.kept.size
@@ -352,6 +376,7 @@ class _KKTSolver:
                 (w.T @ (sigma[:, np.newaxis] * w)).ravel(),
                 mixed,
                 mixed,
+                neg_hess_free.ravel(),
             ])
             h = np.bincount(self.schur_flat, values, minlength=(n_keep + 1) ** 2)
             h = h.reshape(n_keep + 1, n_keep + 1)[:n_keep, :n_keep]
@@ -363,7 +388,6 @@ class _KKTSolver:
                 self.support.ravel(), np.einsum("gb,gbs->gs", scale, pair_sum).ravel(), minlength=n_keep + 1
             )[:n_keep]
 
-        h.flat[self.free_flat] += neg_hess_free.ravel()
         if shift:
             h[np.diag_indices_from(h)] += shift
         factor, info = _potrf(h, lower=True, clean=False)
@@ -382,18 +406,19 @@ class _KKTSolver:
         return delta
 
 
-def _step(c_matrix, b, objective, z, slacks, lam, mu, f_value, grad, hess_free, options, kkt):
+def _step(b, objective, z, slacks, lam, mu, f_value, grad, hess_free, options, kkt):
     """One primal-dual Newton step at barrier weight ``mu`` from ``z``, where
     the objective has value ``f_value``, full gradient ``grad`` and free-block
-    Hessian ``hess_free``.  Returns the new ``(z, b - C z, lam)``, or None
-    when the line search finds no acceptable step."""
+    Hessian ``hess_free``; ``kkt`` holds ``C`` and ``C^T``.  Returns the new
+    ``(z, b - C z, lam)``, or None when the line search finds no acceptable
+    step."""
     inv_s = 1.0 / slacks
-    grad_phi = -grad + mu * (c_matrix.T @ inv_s)
+    grad_phi = -grad + mu * (kkt.CT @ inv_s)
     delta, dec_sq = kkt.step(lam * inv_s, -hess_free, -grad_phi, options.reg_floor)
     if not np.isfinite(dec_sq):
         raise np.linalg.LinAlgError("Newton decrement is not finite")
 
-    step_dir = c_matrix @ delta  # the slack step is -step_dir
+    step_dir = kkt.C @ delta  # the slack step is -step_dir
     increasing = step_dir > 0.0
     alpha = min(1.0, 0.99 * float(np.min(slacks[increasing] / step_dir[increasing], initial=np.inf)))
     phi_here = -f_value - mu * float(np.sum(np.log(slacks)))
@@ -414,7 +439,7 @@ def _step(c_matrix, b, objective, z, slacks, lam, mu, f_value, grad, hess_free, 
     # Dual step toward mu / s along the linearized complementarity, kept
     # positive by the fraction-to-boundary rule, then held within a factor
     # kappa of the primal estimate mu / s (Waechter & Biegler 2006, eq. 16).
-    s_new = b - c_matrix @ z_new
+    s_new = b - kkt.C @ z_new
     d_lam = mu * inv_s - lam + lam * inv_s * step_dir
     falling = d_lam < 0.0
     alpha_lam = min(1.0, 0.99 * float(np.min(lam[falling] / -d_lam[falling], initial=np.inf)))
@@ -439,8 +464,8 @@ def maximize(
 
     # Systems without elimination blocks have dense rows and run on dense
     # BLAS; sparse algebra only pays off for the lifted triangular systems.
-    c_op = system.C if system.layout.elim_blocks else system.C.toarray()
     layout = system.layout
+    c_op = system.C if layout.elim_blocks else system.C.toarray()
     kkt = _KKTSolver(c_op, layout.n, layout.elim_blocks, layout.block_rows, objective.free_idx)
     mu = options.mu0
     mu_min = options.gap_tol / (10.0 * slacks.size)
@@ -455,7 +480,8 @@ def maximize(
         f_value, grad_free, hess_free = objective.value_grad_hess(z)
         grad = objective.grad_full(grad_free)
         scale = 1.0 + float(np.max(np.abs(grad_free), initial=0.0))
-        dual = float(np.max(np.abs(grad - c_op.T @ lam))) / scale
+        stationarity = float(np.max(np.abs(grad - kkt.CT @ lam)))
+        dual = stationarity / scale
         if float(slacks @ lam) < options.gap_tol and dual <= options.gap_tol:
             status = OPTIMAL
             break
@@ -473,7 +499,7 @@ def maximize(
             status, message = MAX_ITERATIONS, "final barrier stage did not converge"
             break
         try:
-            point = _step(c_op, system.b, objective, z, slacks, lam, mu, f_value, grad, hess_free, options, kkt)
+            point = _step(system.b, objective, z, slacks, lam, mu, f_value, grad, hess_free, options, kkt)
         except np.linalg.LinAlgError as exc:
             status, message = NUMERICAL_FAILURE, f"Newton system factorization failed: {exc}"
             break
@@ -495,7 +521,8 @@ def maximize(
         message=message,
     )
     if status == OPTIMAL:
-        residual = kkt_residual(system, objective, z, lam)
+        # kkt_residual at (z, lam), from the loop's last gradient and slacks.
+        residual = max(stationarity, float(np.max(lam * slacks)))
         result.kkt_residual = residual
         if residual > options.kkt_tol * scale:
             result.status = NUMERICAL_FAILURE

@@ -93,6 +93,14 @@ class TestSolve:
             assert f"options.{next(iter(options))}" in err
             assert "Traceback" not in err
 
+    def test_bad_time_limit_exit_one_names_flag(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        write_json(path, feasible_problem_dict())
+        for value in ("nan", "0", "-2.5"):
+            code, out, err = run_cli(capsys, "solve", str(path), "--time-limit", value)
+            assert code == 1 and out == ""
+            assert "--time-limit" in err
+
     def test_bad_floor_exit_one_names_field(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         for kind, field in [("sfg", "scale_floor"), ("utpd", "diag_floor")]:
@@ -267,6 +275,18 @@ class TestExperiment:
                 rows.append(list(csv.DictReader(handle))[0])
         assert rows[0]["seed"] != rows[1]["seed"]
         assert rows[0]["volume"] != rows[1]["volume"]
+
+    def test_bad_time_limit_exit_one_before_any_trial(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        write_json(config_path, {"grid": [[2, 3, 1]], "methods": ["sfg+lgv"], "master_seed": 1, "horizon": 8})
+        for value in ("nan", "0", "-1", "inf"):
+            out_dir = tmp_path / f"run{value}"
+            code, out, err = run_cli(
+                capsys, "experiment", str(config_path), "--output", str(out_dir), "--time-limit", value
+            )
+            assert code == 1 and out == ""
+            assert "--time-limit" in err and "[1/1]" not in err
+            assert not out_dir.exists()
 
     def test_progress_log_on_stderr(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

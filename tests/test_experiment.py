@@ -79,6 +79,11 @@ class TestConfigParsing:
         with pytest.raises(SchemaError, match="time_limit"):
             config_from_dict({"grid": [[2, 3, 1]], "master_seed": 1, "time_limit": True})
 
+    def test_non_finite_dt_rejected(self):
+        for dt in (float("nan"), float("inf"), True, 0.0):
+            with pytest.raises(SchemaError, match=r"config\.dt"):
+                config_from_dict({"grid": [[2, 3, 1]], "master_seed": 1, "dt": dt})
+
     def test_missing_grid(self):
         with pytest.raises(SchemaError, match="grid"):
             config_from_dict({"master_seed": 1})

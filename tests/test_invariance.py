@@ -17,7 +17,7 @@ from zonoinv.invariance import (
     warm_start_point,
 )
 from zonoinv.parameterizations import SfgParameterization, UtpdParameterization
-from zonoinv.zonotope import Box, Zonotope
+from zonoinv.zonotope import Box, Zonotope, interval_hull
 
 
 def unit_box(d):
@@ -370,6 +370,22 @@ class TestCertificate:
         z = Zonotope(np.zeros(2), np.diag([1.5, 0.5]))
         assert certificate_violation(sys_, box, 0, z) == 0.0
         assert certificate_violation(sys_, box, 1, z) == pytest.approx(0.5, abs=1e-15)
+
+    def test_drifted_violation_matches_reach_sets(self):
+        # The offset w pushes the center toward the upper face of coordinate 0,
+        # so the reach sets first leave the box at t = 2.
+        sys_ = AffineSystem([[0.5, 0.1, 0.0], [0.0, 0.5, 0.1], [0.0, 0.0, 0.4]], [0.6, 0.0, -0.1])
+        generators = [[1.0, 0.5, 0.0, 0.2], [0.0, 1.0, 0.3, 0.0], [0.0, 0.0, 1.0, 0.1]]
+        z = Zonotope([0.0, 0.1, 0.0], 0.2 * np.array(generators))
+        box = unit_box(3)
+        excess = []
+        for t in range(7):
+            hull = interval_hull(reach_zonotope(sys_, z, t))
+            excess.append(max(np.max(box.lower - hull.lower), np.max(hull.upper - box.upper)))
+        assert max(excess[:2]) < 0.0 < excess[2]
+        for horizon in range(7):
+            expected = max(0.0, max(excess[: horizon + 1]))
+            assert certificate_violation(sys_, box, horizon, z) == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
         sys_ = AffineSystem(np.eye(2), np.zeros(2))

@@ -231,6 +231,27 @@ class TestMaximize:
         assert result.kkt_residual is not None
         assert result.kkt_residual <= SolverOptions().kkt_tol
 
+    @pytest.mark.parametrize("kind", ["sfg", "utpd"])
+    def test_one_derivative_call_per_step_plus_the_final_check(self, kind):
+        # The KKT residual of an optimal solve comes from the loop's own last
+        # gradient, so the final point is not differentiated twice.
+        problem = make_trial(TrialSpec(3, 6, 0, 20260815), kind, "lgv")
+        system = assemble(problem)
+        layout = system.layout
+        inner = make_objective("lgv", problem.parameterization)
+        calls = []
+
+        def counted(x):
+            calls.append(None)
+            return inner.value_grad_hess(x)
+
+        free = np.arange(layout.free.start, layout.free.stop)
+        objective = EmbeddedObjective(layout.n, free, inner.value, counted)
+        z0, _ = phase1_feasible_point(system, warm_start_point(problem, layout))
+        result = maximize(system, objective, z0)
+        assert result.status == OPTIMAL and result.kkt_residual <= SolverOptions().kkt_tol
+        assert len(calls) == result.iterations + 1
+
     def test_time_limit_reports_max_iterations(self):
         problem = make_problem(
             np.eye(3) * 0.9, np.zeros(3), unit_box(3), 20, UtpdParameterization(3), "lgv"
@@ -390,7 +411,7 @@ class TestStepSlacks:
         for _ in range(10):
             f_value, grad_free, hess_free = objective.value_grad_hess(z)
             grad = objective.grad_full(grad_free)
-            z, slacks, lam = _step(c_op, system.b, objective, z, slacks, lam, options.mu0,
+            z, slacks, lam = _step(system.b, objective, z, slacks, lam, options.mu0,
                                    f_value, grad, hess_free, options, kkt)
             exact = system.b - system.C @ z
             assert np.all(np.abs(slacks - exact) <= 1e-12 * (1.0 + np.abs(system.b)))
