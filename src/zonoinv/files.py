@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SchemaError, UnsupportedError
 from .invariance import AffineSystem, InvarianceProblem
-from .numerics import is_finite_positive
+from .numerics import MAX_CHAIN_ENTRIES, is_finite_positive
 from .parameterizations import (
     OBJECTIVE_TOKENS,
     SfgParameterization,
@@ -171,6 +171,10 @@ def problem_from_dict(raw: dict, context: str = "problem"):
     horizon = _require(raw, "T", context)
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
         raise SchemaError(f"{context}.T: expected a nonnegative integer, got {horizon!r}")
+    if (horizon + 1) * d * d > MAX_CHAIN_ENTRIES:
+        raise SchemaError(
+            f"{context}.T: {horizon} is too long; (T + 1) * d^2 must be at most {MAX_CHAIN_ENTRIES} at d = {d}"
+        )
 
     param_raw = _require(raw, "parameterization", context)
     if not isinstance(param_raw, dict):
@@ -241,6 +245,7 @@ def result_to_dict(result: SolveResult) -> dict:
         "volume": result.volume,
         "iterations": result.iterations,
         "phase1_iterations": result.phase1_iterations,
+        "horizon_solved": result.horizon_solved,
         "wall_time": result.wall_time,
         "kkt_residual": result.kkt_residual,
         "certificate_ok": result.certificate_ok,

@@ -19,11 +19,21 @@ conditions; both parameterizations turn them into linear inequalities
   auxiliary variables ``M_t >= +- A^t G`` (elementwise); at ``t = 0`` the
   diagonal entries have known positive sign, so only the off-diagonal
   entries get auxiliaries.
+
+Most of those rows are implied by earlier ones.  Since ``R_t = A^k R_{t-k}
++ drift(k)``, once the box maps into itself in k steps (``A^k X + drift(k)
+subset X``), every reach set at ``t >= k`` lies in the box as soon as the one
+at ``t - k`` does, so by induction the rows of ``t = 0..k-1`` imply all
+others (the finite determination of maximal output admissible sets,
+Gilbert & Tan, IEEE TAC 36(9), 1991).  :func:`implied_horizon` finds that k
+and :func:`assemble` builds only the rows it keeps; the feasible set in
+``(c, gamma)`` or ``(c, G)`` is unchanged.  Certificates still check every
+``t = 0..T``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
@@ -39,6 +49,7 @@ __all__ = [
     "VariableLayout",
     "LinearInequalitySystem",
     "reach_zonotope",
+    "implied_horizon",
     "assemble",
     "assemble_sfg",
     "assemble_utpd",
@@ -119,7 +130,9 @@ class VariableLayout:
 
     ``center`` and ``free`` always exist; the triangular parameterization adds
     ``aux0`` (off-diagonal absolute values at t = 0) and ``lifted`` (the
-    ``M_t`` blocks for t >= 1).
+    ``M_t`` blocks for t >= 1).  ``horizon`` is the last time step with rows
+    in the system: the problem's horizon for :func:`assemble_sfg` and
+    :func:`assemble_utpd`, its :func:`implied_horizon` for :func:`assemble`.
 
     ``elim_blocks`` lists, for the Newton solver, one group of lifted
     variables per (t, state row i): the d entries ``M_t[i, :]``.
@@ -198,12 +211,34 @@ class LinearInequalitySystem:
         return self.b - self.C @ np.asarray(z, dtype=float)
 
 
+def implied_horizon(problem: InvarianceProblem) -> int:
+    """Smallest horizon whose reach-set rows imply those of every t <= T.
+
+    With m and h the box midpoint and half-widths, the box maps into itself
+    in k steps when ``|A^k| h + |A^k m + drift(k) - m| <= h - margin`` in
+    every row, for ``margin = 1e-9 max(h)``.  Returns k - 1 for the smallest
+    such k >= 1, or T when no k <= T qualifies.  The offset ``A^k m +
+    drift(k) - m`` is summed as ``sum_{s<k} A^s (A m + w - m)``, which is
+    exact algebra and keeps a far-off midpoint from cancelling.
+    """
+    box, system = problem.box, problem.system
+    mid, half = box.midpoint, 0.5 * (box.upper - box.lower)
+    powers = power_chain(system.A, problem.horizon)
+    offsets = np.cumsum(powers[:-1] @ (system.A @ mid + system.w - mid), axis=0)   # k = 1..T
+    excess = np.abs(powers[1:]) @ half + np.abs(offsets) - half + 1e-9 * np.max(half)
+    fits = np.all(excess <= 0.0, axis=1)
+    return int(np.argmax(fits)) if fits.any() else problem.horizon
+
+
 def assemble(problem: InvarianceProblem) -> LinearInequalitySystem:
-    """Assemble the constraint system for either parameterization."""
+    """Assemble the constraint system for either parameterization over the
+    :func:`implied_horizon` of ``problem``; its layout records that horizon.
+    The system has the same feasible set as the one over ``problem.horizon``."""
+    kept = replace(problem, horizon=implied_horizon(problem))
     if problem.parameterization.kind == "sfg":
-        return assemble_sfg(problem)
+        return assemble_sfg(kept)
     if problem.parameterization.kind == "utpd":
-        return assemble_utpd(problem)
+        return assemble_utpd(kept)
     raise UnsupportedError(f"unknown parameterization kind {problem.parameterization.kind!r}")
 
 
@@ -331,7 +366,9 @@ def assemble_utpd(problem: InvarianceProblem) -> LinearInequalitySystem:
 def warm_start_point(problem: InvarianceProblem, layout: VariableLayout) -> np.ndarray:
     """Candidate interior point: box midpoint, tiny scales, padded auxiliaries.
 
-    Not guaranteed feasible (e.g. for large drift); callers must check the
+    The lifted auxiliaries cover ``layout.horizon``, the horizon the system
+    was assembled over, which may be shorter than ``problem.horizon``.  Not
+    guaranteed feasible (e.g. for large drift); callers must check the
     slacks and fall back to the auxiliary phase-1 problem if needed.
     """
     param = problem.parameterization
@@ -339,7 +376,7 @@ def warm_start_point(problem: InvarianceProblem, layout: VariableLayout) -> np.n
     free0 = param.initial_free()
     if layout.kind == "sfg":
         return layout.encode(mid, free0)
-    d, T = problem.dim, problem.horizon
+    d, T = problem.dim, layout.horizon
     pad = 10.0 * param.diag_floor
     g0 = param.unpack(free0)
     aux0 = np.full(d * (d - 1) // 2, pad)

@@ -19,6 +19,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "is_finite_positive",
+    "MAX_CHAIN_ENTRIES",
     "power_chain",
     "index_subsets",
     "block_expm",
@@ -60,11 +61,17 @@ def as_vector(values, *, size: int | None = None, name: str = "vector") -> np.nd
     return arr
 
 
+# Largest power chain built, in float64 entries (128 MiB): (T + 1) d^2 for
+# horizon T and dimension d.
+MAX_CHAIN_ENTRIES = 2**24
+
+
 def power_chain(matrix, horizon: int) -> np.ndarray:
     """Return the stack ``[I, A, A^2, ..., A^horizon]`` of shape (horizon+1, d, d).
 
     Computed by repeated multiplication: element ``t`` equals element ``t-1``
-    times ``A``.
+    times ``A``.  Raises :class:`DimensionError` for a negative horizon or
+    a stack of more than :data:`MAX_CHAIN_ENTRIES` entries.
     """
     a = as_matrix(matrix, name="matrix")
     d = a.shape[0]
@@ -72,6 +79,8 @@ def power_chain(matrix, horizon: int) -> np.ndarray:
         raise DimensionError(f"power_chain requires a square matrix, got {a.shape}")
     if horizon < 0:
         raise DimensionError(f"horizon must be nonnegative, got {horizon}")
+    if (horizon + 1) * d * d > MAX_CHAIN_ENTRIES:
+        raise DimensionError(f"horizon {horizon} needs more than {MAX_CHAIN_ENTRIES} power-chain entries at d = {d}")
     chain = np.empty((horizon + 1, d, d))
     chain[0] = np.eye(d)
     for t in range(1, horizon + 1):

@@ -145,7 +145,9 @@ class SolveResult:
     decoded zonotope via the closed-form volume) and present iff the status
     is ``optimal``.  ``stage_objectives`` records the objective at the end of
     each barrier stage, one entry per barrier weight, the last at the final
-    iterate; it is nondecreasing up to round-off.
+    iterate; it is nondecreasing up to round-off.  ``horizon_solved`` is the
+    horizon of the assembled system (the problem's implied horizon), set by
+    :func:`solve_invariance`.
     """
 
     status: str
@@ -159,6 +161,7 @@ class SolveResult:
     zonotope: Zonotope | None = None
     certificate_ok: bool | None = None
     phase1_iterations: int = 0
+    horizon_solved: int | None = None
     message: str = ""
 
 
@@ -602,9 +605,13 @@ def phase1_feasible_point(
 def solve_invariance(problem: InvarianceProblem, options: SolverOptions | None = None) -> SolveResult:
     """Assemble, find an interior point, maximize, decode, and certify.
 
-    The reported wall time covers phase 1 and the barrier solve (not
-    assembly or certification).  ``volume`` is recomputed from the decoded
-    zonotope with the closed-form volume of the parameterization.
+    The system is assembled over the problem's implied horizon (see
+    :func:`~zonoinv.invariance.implied_horizon`), recorded in
+    ``horizon_solved``; the certificate checks every step of
+    ``problem.horizon``.  The reported wall time covers phase 1 and the
+    barrier solve (not assembly or certification).  ``volume`` is recomputed
+    from the decoded zonotope with the closed-form volume of the
+    parameterization.
     """
     options = options or SolverOptions()
     system = assemble(problem)
@@ -620,11 +627,13 @@ def solve_invariance(problem: InvarianceProblem, options: SolverOptions | None =
         return SolveResult(
             status=INFEASIBLE, z=None, objective_value=None,
             iterations=0, wall_time=time.perf_counter() - t0,
-            phase1_iterations=phase1_iters, message="no strictly feasible point",
+            phase1_iterations=phase1_iters, horizon_solved=layout.horizon,
+            message="no strictly feasible point",
         )
     result = maximize(system, objective, z0, options, deadline)
     result.wall_time = time.perf_counter() - t0
     result.phase1_iterations = phase1_iters
+    result.horizon_solved = layout.horizon
 
     if result.status == OPTIMAL:
         parts = layout.decode(result.z)

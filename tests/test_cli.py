@@ -81,6 +81,16 @@ class TestSolve:
         assert code == 1
         assert "'T'" in err
 
+    def test_huge_horizon_exit_one_names_field(self, tmp_path, capsys):
+        raw = feasible_problem_dict()
+        raw["T"] = 10**30
+        path = tmp_path / "p.json"
+        write_json(path, raw)
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and ".T:" in lines[0]
+
     def test_bad_option_exit_one_names_field(self, tmp_path, capsys):
         # NaN is written and read back by Python's json module.
         path = tmp_path / "p.json"

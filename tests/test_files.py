@@ -225,6 +225,7 @@ class TestResultSerialization:
         assert payload["status"] == "optimal"
         assert payload["volume"] == pytest.approx(2.0, abs=1e-6)
         assert payload["certificate_ok"] is True
+        assert payload["horizon_solved"] == 0  # A = 0.5 maps the box into itself in one step
         path = tmp_path / "result.json"
         write_json(path, payload)
         z = load_solution_zonotope(path)
@@ -239,6 +240,7 @@ class TestResultSerialization:
         assert result.status == "infeasible"
         payload = result_to_dict(result)
         assert "zonotope" not in payload
+        assert payload["horizon_solved"] == 10  # the drift never lets the box map into itself
         with pytest.raises(SchemaError, match="zonotope"):
             solution_zonotope_from_dict(payload)
 

@@ -13,6 +13,7 @@ from zonoinv.invariance import (
     assemble_utpd,
     certificate_violation,
     check_invariance_certificate,
+    implied_horizon,
     reach_zonotope,
     warm_start_point,
 )
@@ -319,6 +320,80 @@ class TestAssembleUtpd:
         p_utpd = InvarianceProblem(sys_, unit_box(2), 3, UtpdParameterization(2), "lgv")
         assert assemble(p_sfg).layout.kind == "sfg"
         assert assemble(p_utpd).layout.kind == "utpd"
+
+
+class TestImpliedHorizon:
+    @staticmethod
+    def problem(a, w, box, horizon):
+        d = len(w)
+        return InvarianceProblem(AffineSystem(a, w), box, horizon, SfgParameterization(np.eye(d)), "lgv")
+
+    def test_hand_values(self):
+        # 0.5 I maps the box into itself in one step: only t = 0 is kept.
+        assert implied_horizon(self.problem(0.5 * np.eye(2), np.zeros(2), unit_box(2), 30)) == 0
+        # |A|_inf = 2, but A^2 = 0.2 I: t = 0 and t = 1 are kept.
+        assert implied_horizon(self.problem([[0.0, 2.0], [0.1, 0.0]], np.zeros(2), unit_box(2), 30)) == 1
+        # The identity with a drift never maps [0, 1] into itself.
+        assert implied_horizon(self.problem([[1.0]], [0.02], Box([0.0], [1.0]), 30)) == 30
+        assert implied_horizon(self.problem(0.5 * np.eye(2), np.zeros(2), unit_box(2), 0)) == 0
+
+    def test_unit_free(self):
+        # The box m +- s with the equilibrium at m: the answer depends on A only.
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            a = random_stable_system(rng, 3).A
+            mid = rng.uniform(-2.0, 2.0, 3)
+            values = {
+                implied_horizon(self.problem(a, (np.eye(3) - a) @ mid, Box(mid - s, mid + s), 30))
+                for s in (1e-6, 1.0, 1e6)
+            }
+            assert len(values) == 1
+
+    @pytest.mark.parametrize("kind", ["sfg", "utpd"])
+    def test_feasible_for_the_kept_rows_means_certified(self, kind):
+        # Points strictly feasible for assemble(problem), each pushed to
+        # 1 - 1e-6 of the boundary along a random direction, pass the
+        # full-horizon certificate.  Lifted auxiliaries are the exact absolute
+        # values, padded by 1e-9 relative (plus 1e-12) so their rows are
+        # strict too.  At spectral radius 0.9 the kept horizons run up to 13-15,
+        # and keeping one time step fewer fails this test for both kinds.
+        rng = np.random.default_rng(61)
+        d, p, T = 3, 5, 30
+        shortened = 0
+        for _ in range(20):
+            sys_ = random_stable_system(rng, d, spectral_radius=0.9)
+            if kind == "sfg":
+                param = SfgParameterization(rng.standard_normal((d, p)), scale_floor=1e-9)
+            else:
+                param = UtpdParameterization(d, diag_floor=1e-9)
+            problem = InvarianceProblem(sys_, unit_box(d), T, param, "lgv")
+            system = assemble(problem)
+            layout = system.layout
+            shortened += layout.horizon < T
+            powers = np.stack([np.linalg.matrix_power(sys_.A, t) for t in range(layout.horizon + 1)])
+            for _ in range(10):
+                center = 0.1 * rng.standard_normal(d)
+                if kind == "sfg":
+                    free = rng.uniform(0.01, 1.0, p)
+                    generators = param.effective_generators(free)
+                    z_dir = layout.encode(np.zeros(d), free)
+                else:
+                    generators = np.triu(rng.standard_normal((d, d)))
+                    np.fill_diagonal(generators, rng.uniform(0.05, 1.0, d))
+                    aux0 = (1.0 + 1e-9) * np.abs(generators[np.triu_indices(d, k=1)]) + 1e-12
+                    lifted = (1.0 + 1e-9) * np.abs(powers[1:] @ generators) + 1e-12 if layout.horizon else None
+                    z_dir = layout.encode(np.zeros(d), param.pack(generators), aux0=aux0, lifted=lifted)
+                z_center = np.zeros(layout.n)
+                z_center[layout.center] = center
+                # The slacks are affine in the generator scale s: b - C z_center - s C z_dir.
+                rest, rate = system.slacks(z_center), system.C @ z_dir
+                rising = rate > 0.0
+                scale = (1.0 - 1e-6) * float(np.min(rest[rising] / rate[rising]))
+                assert scale > 0.0
+                assert float(np.min(system.slacks(z_center + scale * z_dir))) > 0.0
+                zono = Zonotope(center, scale * generators)
+                assert certificate_violation(sys_, problem.box, T, zono) == 0.0
+        assert shortened >= 15
 
 
 class TestWarmStart:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zonoinv.errors import DimensionError
-from zonoinv.numerics import as_matrix, as_vector, block_expm, index_subsets, power_chain
+from zonoinv.numerics import MAX_CHAIN_ENTRIES, as_matrix, as_vector, block_expm, index_subsets, power_chain
 
 from oracles import taylor_expm
 
@@ -54,6 +54,14 @@ class TestPowerChain:
         for t in range(7):
             assert np.allclose(chain[t], expected, atol=1e-12)
             expected = a @ expected
+
+    def test_rejects_a_chain_too_long_to_build(self):
+        # The check runs before allocation: numpy itself raises a bare
+        # ValueError for a shape this large.
+        with pytest.raises(DimensionError, match="horizon"):
+            power_chain(np.eye(2), 10**30)
+        with pytest.raises(DimensionError):  # (T + 1) d^2 just above the limit
+            power_chain(np.eye(2), MAX_CHAIN_ENTRIES // 4)
 
 
 class TestSubsets:

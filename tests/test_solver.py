@@ -1,13 +1,22 @@
 """Tests for the barrier solver: analytic optima, LP cross-checks, phase 1,
 status handling, and determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracles import lp_vertex_optimum
 from zonoinv import solver
 from zonoinv.errors import DomainError, SchemaError
-from zonoinv.invariance import AffineSystem, InvarianceProblem, assemble, warm_start_point
+from zonoinv.invariance import (
+    AffineSystem,
+    InvarianceProblem,
+    assemble,
+    assemble_sfg,
+    assemble_utpd,
+    warm_start_point,
+)
 from zonoinv.parameterizations import SfgParameterization, UtpdParameterization, make_objective
 from zonoinv.solver import (
     INFEASIBLE,
@@ -272,7 +281,7 @@ def lifted_system(d, horizon, seed):
     a = rng.standard_normal((d, d))
     a *= 0.8 / np.max(np.abs(np.linalg.eigvals(a)))
     problem = make_problem(a, 0.05 * rng.standard_normal(d), unit_box(d), horizon, UtpdParameterization(d), "lgv")
-    return assemble(problem)
+    return assemble_utpd(problem)  # every horizon step, so the lifted blocks stay
 
 
 def solver_for(system, free_idx):
@@ -398,7 +407,7 @@ class TestStepSlacks:
     def test_step_slacks_match_exact(self, kind):
         problem = make_trial(TrialSpec(3, 6, 0, 20260815), kind, "lgv")
         assert problem.horizon == 30
-        system = assemble(problem)
+        system = assemble_utpd(problem) if kind == "utpd" else assemble_sfg(problem)
         layout = system.layout
         assert bool(layout.elim_blocks) == (kind == "utpd")
         objective = EmbeddedObjective.from_layout(layout, make_objective("lgv", problem.parameterization))
@@ -448,6 +457,55 @@ class TestOptimalityResidual:
                 free = result.z[assemble(problem).layout.free]
                 _, grad, _ = make_objective(objective, problem.parameterization).value_grad_hess(free)
                 assert result.kkt_residual <= 1e-6 * (1.0 + np.max(np.abs(grad)))
+
+
+class TestImpliedHorizon:
+    """``solve_invariance`` assembles only the rows of the implied horizon;
+    the answer is the one of the full-horizon system."""
+
+    def test_time_one_is_kept(self):
+        # A^2 = 0.2 I maps the unit box into itself, A = [[0, 2], [0.1, 0]]
+        # does not, so times 0 and 1 stay.  Time 1 caps gamma_2 at 1/2: the
+        # optimum is [-1, 1] x [-1/2, 1/2], where the box alone would give 4.
+        problem = make_problem([[0.0, 2.0], [0.1, 0.0]], np.zeros(2), unit_box(2), 30,
+                               SfgParameterization(np.eye(2)), "lgv")
+        result = solve_invariance(problem)
+        assert result.status == OPTIMAL and result.certificate_ok is True
+        assert result.horizon_solved == 1
+        assert result.volume == pytest.approx(2.0, abs=1e-6)
+
+    @staticmethod
+    def full_horizon_solve(problem):
+        kind = problem.parameterization.kind
+        system = assemble_utpd(problem) if kind == "utpd" else assemble_sfg(problem)
+        assert system.layout.horizon == problem.horizon
+        objective = EmbeddedObjective.from_layout(
+            system.layout, make_objective(problem.objective, problem.parameterization)
+        )
+        z0, _ = phase1_feasible_point(system, warm_start_point(problem, system.layout))
+        if z0 is None:
+            return INFEASIBLE, None
+        result = maximize(system, objective, z0)
+        return result.status, result.objective_value
+
+    @pytest.mark.parametrize("cell", [(3, 6), (6, 10)])
+    def test_same_answer_as_the_full_horizon(self, cell):
+        shortened = 0
+        x_star = np.linspace(-0.4, 0.4, cell[0])  # the drifted copies' equilibrium, inside the box
+        for trial in range(3):
+            for kind, objective in [("sfg", "ss"), ("sfg", "slgs"), ("sfg", "lgv"), ("utpd", "lgv")]:
+                plain = make_trial(TrialSpec(*cell, trial, 20260815), kind, objective)
+                a = plain.system.A
+                drifted = dataclasses.replace(plain, system=AffineSystem(a, (np.eye(cell[0]) - a) @ x_star))
+                for problem in (plain, drifted):
+                    result = solve_invariance(problem)
+                    status, value = self.full_horizon_solve(problem)
+                    assert result.status == status
+                    if status == OPTIMAL:
+                        assert result.certificate_ok is True
+                        assert abs(result.objective_value - value) <= 1e-8 * (1.0 + abs(value))
+                    shortened += result.horizon_solved < problem.horizon
+        assert shortened > 0
 
 
 class TestKktResidual:
