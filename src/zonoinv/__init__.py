@@ -49,7 +49,6 @@ from .solver import (
     OPTIMAL,
     SolveResult,
     SolverOptions,
-    kkt_residual,
     maximize,
     phase1_feasible_point,
     solve_invariance,
@@ -87,7 +86,6 @@ __all__ = [
     "contained_in_box",
     "derive_trial_seed",
     "interval_hull",
-    "kkt_residual",
     "make_objective",
     "make_trial",
     "maximize",

@@ -21,19 +21,20 @@ conditions; both parameterizations turn them into linear inequalities
   entries get auxiliaries.
 
 Most of those rows are implied by earlier ones.  Since ``R_t = A^k R_{t-k}
-+ drift(k)``, once the box maps into itself in k steps (``A^k X + drift(k)
-subset X``), every reach set at ``t >= k`` lies in the box as soon as the one
-at ``t - k`` does, so by induction the rows of ``t = 0..k-1`` imply all
-others (the finite determination of maximal output admissible sets,
-Gilbert & Tan, IEEE TAC 36(9), 1991).  :func:`implied_horizon` finds that k
-and :func:`assemble` builds only the rows it keeps; the feasible set in
-``(c, gamma)`` or ``(c, G)`` is unchanged.  Certificates still check every
-``t = 0..T``.
++ drift(k)``, once row i of the box maps into itself in k_i steps (row i of
+``A^{k_i} X + drift(k_i)`` lies in ``[lo_i, up_i]``), row i of every reach
+set at ``t >= k_i`` lies in the box as soon as the whole reach set at
+``t - k_i`` does.  So by induction on t the rows (t, i) with ``t < k_i``
+imply all others (the finite determination of maximal output admissible
+sets, Gilbert & Tan, IEEE TAC 36(9), 1991, applied per row).
+:func:`implied_steps` finds the k_i and :func:`assemble` builds only the
+rows it keeps; the feasible set in ``(c, gamma)`` or ``(c, G)`` is
+unchanged.  Certificates still check every ``t = 0..T``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -49,7 +50,7 @@ __all__ = [
     "VariableLayout",
     "LinearInequalitySystem",
     "reach_zonotope",
-    "implied_horizon",
+    "implied_steps",
     "assemble",
     "assemble_sfg",
     "assemble_utpd",
@@ -130,12 +131,14 @@ class VariableLayout:
 
     ``center`` and ``free`` always exist; the triangular parameterization adds
     ``aux0`` (off-diagonal absolute values at t = 0) and ``lifted`` (the
-    ``M_t`` blocks for t >= 1).  ``horizon`` is the last time step with rows
-    in the system: the problem's horizon for :func:`assemble_sfg` and
-    :func:`assemble_utpd`, its :func:`implied_horizon` for :func:`assemble`.
+    rows ``M_t[i, :]`` for t >= 1).  ``row_steps[i]`` is the number of time
+    steps t = 0, 1, ... whose rows for state row i are in the system: T + 1
+    for :func:`assemble_sfg` and :func:`assemble_utpd` by default,
+    :func:`implied_steps` for :func:`assemble`.  ``horizon``, the last time
+    step with any row, is ``max(row_steps) - 1``.
 
     ``elim_blocks`` lists, for the Newton solver, one group of lifted
-    variables per (t, state row i): the d entries ``M_t[i, :]``.
+    variables per kept (t, state row i), t >= 1: the d entries ``M_t[i, :]``.
     ``block_rows`` is aligned with it and names the only rows of ``C`` that
     touch the group, as a (d + 1, 2) array.  Row pair j < d holds the two
     aux rows of ``M_t[i, j]`` (coefficient -1 on that entry and on no other
@@ -147,7 +150,7 @@ class VariableLayout:
     kind: str
     dim: int
     n_generators: int
-    horizon: int
+    row_steps: tuple
     n: int
     m: int
     center: slice
@@ -158,8 +161,15 @@ class VariableLayout:
     block_rows: tuple = ()
     parameterization: object = None
 
+    @property
+    def horizon(self) -> int:
+        return max(self.row_steps) - 1
+
     def decode(self, z) -> dict:
-        """Split a solution vector into named parts including the zonotope."""
+        """Split a solution vector into named parts including the zonotope.
+
+        ``lifted`` is a (horizon, d, d) array whose dropped rows ``M_t[i, :]``
+        (``t >= row_steps[i]``) are zero."""
         z = as_vector(z, size=self.n, name="z")
         param = self.parameterization
         c = z[self.center].copy()
@@ -170,11 +180,14 @@ class VariableLayout:
         if self.aux0 is not None:
             out["aux0"] = z[self.aux0].copy()
         if self.lifted is not None:
-            out["lifted"] = z[self.lifted].reshape(self.horizon, self.dim, self.dim).copy()
+            lifted = np.zeros((self.horizon, self.dim, self.dim))
+            lifted[_kept_rows(self.row_steps)[1:]] = z[self.lifted].reshape(-1, self.dim)
+            out["lifted"] = lifted
         return out
 
     def encode(self, center, free, aux0=None, lifted=None) -> np.ndarray:
-        """Inverse of :meth:`decode` (lossless round trip)."""
+        """Inverse of :meth:`decode` (lossless round trip); ``lifted`` is a
+        (horizon, d, d) array, of which only the kept rows are written."""
         z = np.zeros(self.n)
         z[self.center] = as_vector(center, size=self.dim, name="center")
         z[self.free] = as_vector(free, size=self.free.stop - self.free.start, name="free")
@@ -186,7 +199,9 @@ class VariableLayout:
             if lifted is None:
                 raise DimensionError("this layout requires lifted values")
             lifted = np.asarray(lifted, dtype=float)
-            z[self.lifted] = lifted.reshape(-1)
+            if lifted.shape != (self.horizon, self.dim, self.dim):
+                raise DimensionError(f"lifted must have shape {(self.horizon, self.dim, self.dim)}, got {lifted.shape}")
+            z[self.lifted] = lifted[_kept_rows(self.row_steps)[1:]].ravel()
         return z
 
 
@@ -211,82 +226,106 @@ class LinearInequalitySystem:
         return self.b - self.C @ np.asarray(z, dtype=float)
 
 
-def implied_horizon(problem: InvarianceProblem) -> int:
-    """Smallest horizon whose reach-set rows imply those of every t <= T.
+def _kept_rows(steps) -> np.ndarray:
+    """Mask of the reach-set rows in a system, shape (max(steps), d): row
+    (t, i) is kept iff ``t < steps[i]``."""
+    steps = np.asarray(steps)
+    return np.arange(steps.max())[:, np.newaxis] < steps
 
-    With m and h the box midpoint and half-widths, the box maps into itself
-    in k steps when ``|A^k| h + |A^k m + drift(k) - m| <= h - margin`` in
-    every row, for ``margin = 1e-9 max(h)``.  Returns k - 1 for the smallest
-    such k >= 1, or T when no k <= T qualifies.  The offset ``A^k m +
-    drift(k) - m`` is summed as ``sum_{s<k} A^s (A m + w - m)``, which is
-    exact algebra and keeps a far-off midpoint from cancelling.
+
+def _row_steps(problem: InvarianceProblem, steps) -> np.ndarray:
+    """``steps`` checked against ``problem``; None keeps every t <= T."""
+    if steps is None:
+        return np.full(problem.dim, problem.horizon + 1, dtype=np.intp)
+    steps = np.asarray(steps, dtype=np.intp)
+    if steps.shape != (problem.dim,) or steps.min() < 1 or steps.max() > problem.horizon + 1:
+        raise DimensionError(f"row steps must be {problem.dim} integers in 1..{problem.horizon + 1}, got {steps}")
+    return steps
+
+
+def implied_steps(problem: InvarianceProblem, powers: np.ndarray | None = None) -> np.ndarray:
+    """Per state row i, the number k_i of time steps whose rows are kept.
+
+    With m and h the box midpoint and half-widths, row i of the box maps
+    into itself in k steps when row i of ``|A^k| h + |A^k m + drift(k) - m|``
+    is at most ``h_i - margin``, for ``margin = 1e-9 max(h)``.  k_i is the
+    smallest such k >= 1, or T + 1 when no k <= T qualifies; the rows
+    (t, i) with ``t < k_i`` imply those of every t <= T (see the module
+    docstring).  The offset ``A^k m + drift(k) - m`` is summed as
+    ``sum_{s<k} A^s (A m + w - m)``, which is exact algebra and keeps a
+    far-off midpoint from cancelling.  ``powers``, when given, is
+    ``power_chain(A, T)``.
     """
-    box, system = problem.box, problem.system
+    box, system, T = problem.box, problem.system, problem.horizon
+    powers = power_chain(system.A, T) if powers is None else powers
     mid, half = box.midpoint, 0.5 * (box.upper - box.lower)
-    powers = power_chain(system.A, problem.horizon)
-    offsets = np.cumsum(powers[:-1] @ (system.A @ mid + system.w - mid), axis=0)   # k = 1..T
-    excess = np.abs(powers[1:]) @ half + np.abs(offsets) - half + 1e-9 * np.max(half)
-    fits = np.all(excess <= 0.0, axis=1)
-    return int(np.argmax(fits)) if fits.any() else problem.horizon
+    offsets = np.cumsum(powers[:T] @ (system.A @ mid + system.w - mid), axis=0)   # k = 1..T
+    excess = np.abs(powers[1:T + 1]) @ half + np.abs(offsets) - half + 1e-9 * np.max(half)
+    fits = np.vstack([excess <= 0.0, np.ones((1, problem.dim), dtype=bool)])   # k = 1..T, then T + 1
+    return np.argmax(fits, axis=0) + 1
 
 
-def assemble(problem: InvarianceProblem) -> LinearInequalitySystem:
+def assemble(problem: InvarianceProblem, powers: np.ndarray | None = None) -> LinearInequalitySystem:
     """Assemble the constraint system for either parameterization over the
-    :func:`implied_horizon` of ``problem``; its layout records that horizon.
-    The system has the same feasible set as the one over ``problem.horizon``."""
-    kept = replace(problem, horizon=implied_horizon(problem))
+    rows that :func:`implied_steps` keeps; its layout records them.  The
+    system has the same feasible set as the one over every t <= T.
+    ``powers``, when given, is ``power_chain(A, T)``."""
+    powers = power_chain(problem.system.A, problem.horizon) if powers is None else powers
+    steps = implied_steps(problem, powers)
     if problem.parameterization.kind == "sfg":
-        return assemble_sfg(kept)
+        return assemble_sfg(problem, steps, powers)
     if problem.parameterization.kind == "utpd":
-        return assemble_utpd(kept)
+        return assemble_utpd(problem, steps, powers)
     raise UnsupportedError(f"unknown parameterization kind {problem.parameterization.kind!r}")
 
 
-def assemble_sfg(problem: InvarianceProblem) -> LinearInequalitySystem:
+def assemble_sfg(problem: InvarianceProblem, steps=None, powers: np.ndarray | None = None) -> LinearInequalitySystem:
     """Rows, for t = 0..T: d "lower" rows ``-A^t c + |A^t G| gamma <= drift - lo``
     then d "upper" rows ``A^t c + |A^t G| gamma <= up - drift``; finally the p
-    scale-floor rows ``-gamma <= -scale_floor``.  n = d + p, m = 2d(T+1) + p.
+    scale-floor rows ``-gamma <= -scale_floor``.  Of the reach-set rows only
+    those of state row i at t < ``steps[i]`` are kept (every t <= T by
+    default), in the same order.  n = d + p, m = 2 sum(steps) + p.
+    ``powers``, when given, is a power chain at least that long.
     """
     param = problem.parameterization
     if param.kind != "sfg":
         raise UnsupportedError("assemble_sfg requires the scaled-template parameterization")
-    d, p, T = problem.dim, param.n_generators, problem.horizon
+    steps = _row_steps(problem, steps)
+    d, p, horizon = problem.dim, param.n_generators, int(steps.max()) - 1
     n = d + p
-    m = 2 * d * (T + 1) + p
-    powers = power_chain(problem.system.A, T)
-    drifts = _drift_table(problem.system, T)
-    lo, up = problem.box.lower, problem.box.upper
+    powers = power_chain(problem.system.A, horizon) if powers is None else powers[:horizon + 1]
+    drifts = _drift_table(problem.system, horizon)
 
-    floor_base = 2 * d * (T + 1)
-    c_mat = np.zeros((m, n))
-    b = np.zeros(m)
-    reach = c_mat[:floor_base].reshape(T + 1, 2, d, n)      # [t, lower/upper, i, :]
+    reach = np.empty((horizon + 1, 2, d, n))                # [t, lower/upper, i, :]
     reach[:, 0, :, :d] = -powers
     reach[:, 1, :, :d] = powers
     reach[:, :, :, d:] = np.abs(powers @ param.template)[:, np.newaxis]   # |A^t G|
-    reach_b = b[:floor_base].reshape(T + 1, 2, d)
-    reach_b[:, 0] = drifts - lo
-    reach_b[:, 1] = up - drifts
-    c_mat[floor_base + np.arange(p), d + np.arange(p)] = -1.0
-    b[floor_base:] = -param.scale_floor
+    reach_b = np.stack([drifts - problem.box.lower, problem.box.upper - drifts], axis=1)
+    kept = np.broadcast_to(_kept_rows(steps)[:, np.newaxis], reach_b.shape)
+    floor = np.hstack([np.zeros((p, d)), -np.eye(p)])
+    c_mat = np.vstack([reach[kept], floor])
+    b = np.concatenate([reach_b[kept], np.full(p, -param.scale_floor)])
 
     layout = VariableLayout(
-        kind="sfg", dim=d, n_generators=p, horizon=T, n=n, m=m,
+        kind="sfg", dim=d, n_generators=p, row_steps=tuple(steps.tolist()), n=n, m=b.size,
         center=slice(0, d), free=slice(d, d + p), parameterization=param,
     )
     return LinearInequalitySystem(scipy.sparse.csr_matrix(c_mat), b, layout)
 
 
-def assemble_utpd(problem: InvarianceProblem) -> LinearInequalitySystem:
+def assemble_utpd(problem: InvarianceProblem, steps=None, powers: np.ndarray | None = None) -> LinearInequalitySystem:
     """Exact lifting of the triangular-parameterization constraints.
 
     Variables: center c (d), packed triangle g (d(d+1)/2), off-diagonal
     auxiliaries at t = 0 (d(d-1)/2, since the diagonal has known sign), and
-    for each t = 1..T a full auxiliary matrix ``M_t`` (d^2) with
-    ``M_t >= +-(A^t G)`` elementwise.  Row order: d diagonal-floor rows;
-    t = 0 lower/upper box rows; t = 0 off-diagonal aux rows (pairs +,-);
-    then per t >= 1 the 2 d^2 aux rows of ``M_t[i, j]`` in row-major order
-    (pairs +,-) followed by the 2d box rows (lower then upper).
+    for each kept (t, i) with t >= 1 the row ``M_t[i, :]`` (d) of an
+    auxiliary matrix with ``M_t >= +-(A^t G)`` elementwise.  State row i is
+    kept at t < ``steps[i]`` (every t <= T by default); ``powers``, when
+    given, is a power chain at least that long.  Row order: d diagonal-floor
+    rows; t = 0 lower/upper box rows; t = 0 off-diagonal aux rows (pairs
+    +,-); then per t >= 1 the 2d aux rows of each kept ``M_t[i, :]``
+    (pairs +,-, row-major) followed by the lower then the upper box rows of
+    those (t, i).  Dropping (t, i) drops its d variables and 2d + 2 rows.
 
     Each row family is one broadcast of (row, column, value) over its index
     grid; the columns of ``G[k, j]`` and ``aux0[i, j]`` come from two packed
@@ -296,15 +335,19 @@ def assemble_utpd(problem: InvarianceProblem) -> LinearInequalitySystem:
     param = problem.parameterization
     if param.kind != "utpd":
         raise UnsupportedError("assemble_utpd requires the triangular parameterization")
-    d, T = problem.dim, problem.horizon
+    steps = _row_steps(problem, steps)
+    d, horizon = problem.dim, int(steps.max()) - 1
+    t_blk, i_blk = np.nonzero(_kept_rows(steps)[1:])    # one block M_t[i, :] per kept (t, i), t >= 1
+    t_blk += 1
+    n_blocks = t_blk.size
     n_g = d * (d + 1) // 2
     n_aux0 = d * (d - 1) // 2
     aux0_off = d + n_g
-    m_off = aux0_off + n_aux0      # M_1 starts here; M_t block is d*d wide
-    n = m_off + T * d * d
-    m = 3 * d + d * (d - 1) + T * (2 * d * d + 2 * d)
-    powers = power_chain(problem.system.A, T)
-    drifts = _drift_table(problem.system, T)
+    m_off = aux0_off + n_aux0      # the blocks start here, d columns each
+    n = m_off + n_blocks * d
+    m = 3 * d + d * (d - 1) + n_blocks * (2 * d + 2)
+    powers = power_chain(problem.system.A, horizon) if powers is None else powers[:horizon + 1]
+    drifts = _drift_table(problem.system, horizon)
     lo, up = problem.box.lower, problem.box.upper
 
     idx = np.arange(d)
@@ -320,16 +363,21 @@ def assemble_utpd(problem: InvarianceProblem) -> LinearInequalitySystem:
     # t = 0: box rows [i, lower/upper] and off-diagonal aux pairs [q, +/-].
     box0 = d + idx[:, np.newaxis] + np.array([0, d])
     aux0_rows = 3 * d + 2 * np.arange(n_aux0)[:, np.newaxis] + np.array([0, 1])
-    # t >= 1: block_rows[t-1, i] holds the aux pairs of M_t[i, :] and the box
-    # pair of (t, i); m_cols[t-1, i, j] is the column of M_t[i, j].
-    aux_base = 3 * d + d * (d - 1) + np.arange(T) * (2 * d * d + 2 * d)
-    block_rows = np.empty((T, d, d + 1, 2), dtype=np.intp)
-    block_rows[:, :, :d] = (aux_base[:, np.newaxis, np.newaxis, np.newaxis]
-                            + 2 * (d * idx[:, np.newaxis, np.newaxis] + idx[:, np.newaxis]) + np.array([0, 1]))
-    block_rows[:, :, d] = aux_base[:, np.newaxis, np.newaxis] + 2 * d * d + idx[:, np.newaxis] + np.array([0, d])
-    m_cols = m_off + np.arange(T * d * d, dtype=np.intp).reshape(T, d, d)
-    box_t = block_rows[:, :, d, np.newaxis, :]           # (T, d, 1, 2)
-    lifted_powers = powers[1:, :, :, np.newaxis]         # (T, d, d, 1): A^t[i, k]
+    # t >= 1: block_rows[b] holds the aux pairs of block b's M_t[i, :] and the
+    # box pair of its (t, i); m_cols[b, j] is the column of M_t[i, j].  Time t
+    # holds count[t] blocks; block b is the rank[b]-th of its time.
+    count = np.bincount(t_blk, minlength=horizon + 1)
+    before = np.cumsum(count) - count                    # blocks of earlier times
+    rank = np.arange(n_blocks) - before[t_blk]
+    base = 3 * d + d * (d - 1) + (2 * d + 2) * before[t_blk]
+    width = count[t_blk]
+    block_rows = np.empty((n_blocks, d + 1, 2), dtype=np.intp)
+    block_rows[:, :d] = (base[:, np.newaxis, np.newaxis] + 2 * (d * rank[:, np.newaxis, np.newaxis]
+                         + idx[:, np.newaxis]) + np.array([0, 1]))
+    block_rows[:, d] = (base + 2 * d * width + rank)[:, np.newaxis] + width[:, np.newaxis] * np.array([0, 1])
+    m_cols = m_off + np.arange(n_blocks * d, dtype=np.intp).reshape(n_blocks, d)
+    box_t = block_rows[:, d, np.newaxis, :]              # (B, 1, 2)
+    a_rows = powers[t_blk, i_blk]                        # (B, d): row i of A^t
 
     families = [  # (rows, columns, values), broadcast against each other
         (idx, diag_cols, -1.0),                                   # -G[i, i] <= -diag_floor
@@ -338,10 +386,10 @@ def assemble_utpd(problem: InvarianceProblem) -> LinearInequalitySystem:
         (box0[i_off], aux0_pos[i_off, j_off, np.newaxis], 1.0),   #   + aux0[i, j], j > i
         (aux0_rows, g_pos[i_off, j_off, np.newaxis], pm),         # +-G[i, j] - aux0[i, j] <= 0
         (aux0_rows, aux0_pos[i_off, j_off, np.newaxis], -1.0),
-        (block_rows[:, :, j_tri], g_pos[k_tri, j_tri, np.newaxis],  # +-(A^t G)[i, j], k <= j
-         lifted_powers[:, :, k_tri] * pm),
-        (block_rows[:, :, :d], m_cols[..., np.newaxis], -1.0),    #   - M_t[i, j] <= 0
-        (box_t, idx[:, np.newaxis], lifted_powers * -pm),         # t >= 1 box rows: -+A^t c
+        (block_rows[:, j_tri], g_pos[k_tri, j_tri, np.newaxis],   # +-(A^t G)[i, j], k <= j
+         a_rows[:, k_tri, np.newaxis] * pm),
+        (block_rows[:, :d], m_cols[..., np.newaxis], -1.0),       #   - M_t[i, j] <= 0
+        (box_t, idx[:, np.newaxis], a_rows[:, :, np.newaxis] * -pm),   # t >= 1 box rows: -+(A^t c)_i
         (box_t, m_cols[..., np.newaxis], 1.0),                    #   + sum_j M_t[i, j]
     ]
     triples = [[a.ravel() for a in np.broadcast_arrays(*family)] for family in families]
@@ -351,38 +399,57 @@ def assemble_utpd(problem: InvarianceProblem) -> LinearInequalitySystem:
     b = np.zeros(m)                                      # aux rows stay zero
     b[:d] = -param.diag_floor
     b[box0[:, 0]], b[box0[:, 1]] = drifts[0] - lo, up - drifts[0]
-    b[block_rows[:, :, d, 0]], b[block_rows[:, :, d, 1]] = drifts[1:] - lo, up - drifts[1:]
+    drift_blk = drifts[t_blk, i_blk]
+    b[block_rows[:, d, 0]], b[block_rows[:, d, 1]] = drift_blk - lo[i_blk], up[i_blk] - drift_blk
 
     layout = VariableLayout(
-        kind="utpd", dim=d, n_generators=d, horizon=T, n=n, m=m,
+        kind="utpd", dim=d, n_generators=d, row_steps=tuple(steps.tolist()), n=n, m=m,
         center=slice(0, d), free=slice(d, aux0_off), aux0=slice(aux0_off, m_off),
-        lifted=slice(m_off, n) if T else None,
-        elim_blocks=tuple(m_cols.reshape(T * d, d)), block_rows=tuple(block_rows.reshape(T * d, d + 1, 2)),
+        lifted=slice(m_off, n) if n_blocks else None,
+        elim_blocks=tuple(m_cols), block_rows=tuple(block_rows),
         parameterization=param,
     )
     return LinearInequalitySystem(c_mat, b, layout)
 
 
-def warm_start_point(problem: InvarianceProblem, layout: VariableLayout) -> np.ndarray:
-    """Candidate interior point: box midpoint, tiny scales, padded auxiliaries.
+def warm_start_point(
+    problem: InvarianceProblem, system: LinearInequalitySystem, powers: np.ndarray | None = None
+) -> np.ndarray:
+    """Interior point on the ray ``z0 + alpha z_dir`` for ``system``.
 
-    The lifted auxiliaries cover ``layout.horizon``, the horizon the system
-    was assembled over, which may be shorter than ``problem.horizon``.  Not
-    guaranteed feasible (e.g. for large drift); callers must check the
-    slacks and fall back to the auxiliary phase-1 problem if needed.
+    ``z0`` is the box midpoint with tiny generators (``initial_free``) and
+    auxiliaries padded by ``10 diag_floor``.  ``z_dir`` keeps the center and
+    sets gamma = 1 (``sfg``), or G = diag(h) for the box half-widths h with
+    aux0 and the kept lifted rows at ``|A^t G| + 0.2 max(h)`` (``utpd``).
+    Every row of ``C z <= b`` is affine in alpha; alpha is half the largest
+    step before a rising row reaches its bound, so every slack stays at
+    least half its value at ``z0``, and the point scales with the box.
+    Returns ``z0`` itself when it is not strictly feasible (e.g. for large
+    drift) or no row bounds the ray; callers must check the slacks and fall
+    back to the auxiliary phase-1 problem if needed.  ``powers``, when
+    given, is a power chain at least ``system.layout.horizon`` long.
     """
+    layout = system.layout
     param = problem.parameterization
-    mid = problem.box.midpoint
+    box = problem.box
+    d, mid, half = problem.dim, box.midpoint, 0.5 * (box.upper - box.lower)
     free0 = param.initial_free()
     if layout.kind == "sfg":
-        return layout.encode(mid, free0)
-    d, T = problem.dim, layout.horizon
-    pad = 10.0 * param.diag_floor
-    g0 = param.unpack(free0)
-    aux0 = np.full(d * (d - 1) // 2, pad)
-    powers = power_chain(problem.system.A, T)
-    lifted = np.abs(powers[1:] @ g0) + pad if T else None
-    return layout.encode(mid, free0, aux0=aux0, lifted=lifted)
+        z0 = layout.encode(mid, free0)
+        z_dir = layout.encode(np.zeros(d), np.ones(layout.n_generators))
+    else:
+        horizon = layout.horizon
+        powers = power_chain(problem.system.A, horizon) if powers is None else powers[:horizon + 1]
+        pad, pad_dir = 10.0 * param.diag_floor, 0.2 * float(np.max(half))
+        n_aux0 = d * (d - 1) // 2
+        z0 = layout.encode(mid, free0, aux0=np.full(n_aux0, pad), lifted=np.abs(powers[1:] @ param.unpack(free0)) + pad)
+        z_dir = layout.encode(np.zeros(d), param.pack(np.diag(half)), aux0=np.full(n_aux0, pad_dir),
+                              lifted=np.abs(powers[1:]) * half + pad_dir)
+    slacks, rate = system.slacks(z0), system.C @ z_dir
+    rising = rate > 0.0
+    if np.min(slacks) <= 0.0 or not rising.any():
+        return z0
+    return z0 + 0.5 * float(np.min(slacks[rising] / rate[rising])) * z_dir
 
 
 def certificate_violation(system: AffineSystem, box: Box, horizon: int, zonotope: Zonotope) -> float:

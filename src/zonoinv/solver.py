@@ -13,8 +13,9 @@ superlinearly, and the solve is optimal once ``s^T lambda`` and the scaled
 dual residual are below ``gap_tol``.  The reported KKT residual, the
 larger of ``max |grad f - C^T lambda|`` and ``max lambda_i s_i``, comes
 from that last check's gradient, duals and slacks, so the final point is
-differentiated once.  A solve typically takes 6-7 stages and 15-45 Newton
-steps.
+differentiated once.  From the interior start of
+:func:`~zonoinv.invariance.warm_start_point` a solve typically takes 6-7
+stages and 7-33 Newton steps.
 
 The operators of a solve are built once per :func:`maximize` call, in
 :class:`_KKTSolver`: ``C``, its transpose and the block structure below, so
@@ -53,7 +54,7 @@ from .invariance import (
     check_invariance_certificate,
     warm_start_point,
 )
-from .numerics import is_finite_positive
+from .numerics import is_finite_positive, power_chain
 from .parameterizations import make_objective
 from .zonotope import Zonotope
 
@@ -67,7 +68,6 @@ __all__ = [
     "EmbeddedObjective",
     "maximize",
     "phase1_feasible_point",
-    "kkt_residual",
     "solve_invariance",
 ]
 
@@ -146,8 +146,9 @@ class SolveResult:
     is ``optimal``.  ``stage_objectives`` records the objective at the end of
     each barrier stage, one entry per barrier weight, the last at the final
     iterate; it is nondecreasing up to round-off.  ``horizon_solved`` is the
-    horizon of the assembled system (the problem's implied horizon), set by
-    :func:`solve_invariance`.
+    last time step with rows in the assembled system (``max k_i - 1`` for
+    the per-row step counts of :func:`~zonoinv.invariance.implied_steps`),
+    set by :func:`solve_invariance`.
     """
 
     status: str
@@ -533,17 +534,6 @@ def maximize(
     return result
 
 
-def kkt_residual(system: LinearInequalitySystem, objective: EmbeddedObjective, z, duals) -> float:
-    """Max of the stationarity residual ``|grad f - C^T duals|_inf`` and the
-    complementarity measure ``max_i duals_i * slack_i`` at a strictly feasible ``z``."""
-    z = np.asarray(z, dtype=float)
-    duals = np.asarray(duals, dtype=float)
-    _, grad_free, _ = objective.value_grad_hess(z)
-    stationarity = objective.grad_full(grad_free) - system.C.T @ duals
-    slacks = system.slacks(z)
-    return max(float(np.max(np.abs(stationarity))), float(np.max(duals * slacks)))
-
-
 def _phase1_system(system: LinearInequalitySystem) -> LinearInequalitySystem:
     """Auxiliary system over (z, s): ``C z - s 1 <= b`` and ``-s <= 1``."""
     m, n = system.shape
@@ -556,7 +546,7 @@ def _phase1_system(system: LinearInequalitySystem) -> LinearInequalitySystem:
     b_aux = np.concatenate([system.b, [1.0]])
     layout = VariableLayout(
         kind="phase1", dim=system.layout.dim, n_generators=system.layout.n_generators,
-        horizon=system.layout.horizon, n=n + 1, m=m + 1,
+        row_steps=system.layout.row_steps, n=n + 1, m=m + 1,
         center=slice(0, 0), free=slice(n, n + 1),
         elim_blocks=system.layout.elim_blocks, block_rows=system.layout.block_rows,
     )
@@ -605,20 +595,22 @@ def phase1_feasible_point(
 def solve_invariance(problem: InvarianceProblem, options: SolverOptions | None = None) -> SolveResult:
     """Assemble, find an interior point, maximize, decode, and certify.
 
-    The system is assembled over the problem's implied horizon (see
-    :func:`~zonoinv.invariance.implied_horizon`), recorded in
-    ``horizon_solved``; the certificate checks every step of
-    ``problem.horizon``.  The reported wall time covers phase 1 and the
+    The system holds only the rows that no earlier row implies (see
+    :func:`~zonoinv.invariance.implied_steps`); its last time step is
+    recorded in ``horizon_solved``, and the certificate checks every step of
+    ``problem.horizon``.  One power chain of ``A`` serves the row cut,
+    assembly and the warm start.  The reported wall time covers phase 1 and the
     barrier solve (not assembly or certification).  ``volume`` is recomputed
     from the decoded zonotope with the closed-form volume of the
     parameterization.
     """
     options = options or SolverOptions()
-    system = assemble(problem)
+    powers = power_chain(problem.system.A, problem.horizon)   # shared by the row cut, assembly and warm start
+    system = assemble(problem, powers)
     layout = system.layout
     inner = make_objective(problem.objective, problem.parameterization)
     objective = EmbeddedObjective.from_layout(layout, inner)
-    warm = warm_start_point(problem, layout)
+    warm = warm_start_point(problem, system, powers)
 
     t0 = time.perf_counter()
     deadline = None if options.time_limit is None else t0 + options.time_limit

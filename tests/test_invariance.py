@@ -13,7 +13,7 @@ from zonoinv.invariance import (
     assemble_utpd,
     certificate_violation,
     check_invariance_certificate,
-    implied_horizon,
+    implied_steps,
     reach_zonotope,
     warm_start_point,
 )
@@ -330,12 +330,16 @@ class TestImpliedHorizon:
 
     def test_hand_values(self):
         # 0.5 I maps the box into itself in one step: only t = 0 is kept.
-        assert implied_horizon(self.problem(0.5 * np.eye(2), np.zeros(2), unit_box(2), 30)) == 0
-        # |A|_inf = 2, but A^2 = 0.2 I: t = 0 and t = 1 are kept.
-        assert implied_horizon(self.problem([[0.0, 2.0], [0.1, 0.0]], np.zeros(2), unit_box(2), 30)) == 1
+        assert implied_steps(self.problem(0.5 * np.eye(2), np.zeros(2), unit_box(2), 30)).tolist() == [1, 1]
+        # Row 1 of A = [[0, 2], [0.1, 0]] maps into the box in one step, row 0
+        # only in two (A^2 = 0.2 I): row 0 keeps t = 0 and t = 1.
+        assert implied_steps(self.problem([[0.0, 2.0], [0.1, 0.0]], np.zeros(2), unit_box(2), 30)).tolist() == [2, 1]
         # The identity with a drift never maps [0, 1] into itself.
-        assert implied_horizon(self.problem([[1.0]], [0.02], Box([0.0], [1.0]), 30)) == 30
-        assert implied_horizon(self.problem(0.5 * np.eye(2), np.zeros(2), unit_box(2), 0)) == 0
+        assert implied_steps(self.problem([[1.0]], [0.02], Box([0.0], [1.0]), 30)).tolist() == [31]
+        assert implied_steps(self.problem(0.5 * np.eye(2), np.zeros(2), unit_box(2), 0)).tolist() == [1, 1]
+        # diag(0.5, 1) with a drift on row 1: row 0 keeps t = 0 only, row 1 every t.
+        steps = implied_steps(self.problem(np.diag([0.5, 1.0]), [0.0, 0.02], unit_box(2), 30))
+        assert steps.tolist() == [1, 31]
 
     def test_unit_free(self):
         # The box m +- s with the equilibrium at m: the answer depends on A only.
@@ -344,7 +348,7 @@ class TestImpliedHorizon:
             a = random_stable_system(rng, 3).A
             mid = rng.uniform(-2.0, 2.0, 3)
             values = {
-                implied_horizon(self.problem(a, (np.eye(3) - a) @ mid, Box(mid - s, mid + s), 30))
+                tuple(implied_steps(self.problem(a, (np.eye(3) - a) @ mid, Box(mid - s, mid + s), 30)).tolist())
                 for s in (1e-6, 1.0, 1e6)
             }
             assert len(values) == 1
@@ -356,10 +360,11 @@ class TestImpliedHorizon:
         # full-horizon certificate.  Lifted auxiliaries are the exact absolute
         # values, padded by 1e-9 relative (plus 1e-12) so their rows are
         # strict too.  At spectral radius 0.9 the kept horizons run up to 13-15,
-        # and keeping one time step fewer fails this test for both kinds.
+        # most draws keep different step counts for different state rows, and
+        # keeping one time step fewer in one row fails this test for both kinds.
         rng = np.random.default_rng(61)
         d, p, T = 3, 5, 30
-        shortened = 0
+        shortened = per_row = 0
         for _ in range(20):
             sys_ = random_stable_system(rng, d, spectral_radius=0.9)
             if kind == "sfg":
@@ -370,6 +375,7 @@ class TestImpliedHorizon:
             system = assemble(problem)
             layout = system.layout
             shortened += layout.horizon < T
+            per_row += len(set(layout.row_steps)) > 1
             powers = np.stack([np.linalg.matrix_power(sys_.A, t) for t in range(layout.horizon + 1)])
             for _ in range(10):
                 center = 0.1 * rng.standard_normal(d)
@@ -393,7 +399,57 @@ class TestImpliedHorizon:
                 assert float(np.min(system.slacks(z_center + scale * z_dir))) > 0.0
                 zono = Zonotope(center, scale * generators)
                 assert certificate_violation(sys_, problem.box, T, zono) == 0.0
-        assert shortened >= 15
+        assert shortened >= 15 and per_row >= 10
+
+    @pytest.mark.parametrize("kind", ["sfg", "utpd"])
+    def test_per_row_system_is_the_full_system_restricted(self, kind):
+        # Dropping the rows (t, i) with t >= steps[i] removes their box rows
+        # and, for utpd, the block M_t[i, :] with its aux rows; every other
+        # entry of C and b stays, in the same order.
+        rng = np.random.default_rng(71)
+        d, T, steps = 3, 5, [2, 6, 4]
+        if kind == "sfg":
+            param, build = SfgParameterization(rng.standard_normal((d, 5))), assemble_sfg
+        else:
+            param, build = UtpdParameterization(d), assemble_utpd
+        problem = InvarianceProblem(random_stable_system(rng, d), unit_box(d), T, param, "lgv")
+        full, cut = build(problem), build(problem, steps)
+        assert cut.layout.row_steps == (2, 6, 4) and cut.layout.horizon == 5
+        dropped_rows, dropped_cols = [], []
+        if kind == "sfg":
+            for t in range(T + 1):
+                dropped_rows += [2 * d * t + side * d + i for side in (0, 1) for i in range(d) if t >= steps[i]]
+        else:
+            for (t, i), rows, cols in zip(np.ndindex(T, d), full.layout.block_rows, full.layout.elim_blocks):
+                if t + 1 >= steps[i]:
+                    dropped_rows += rows.ravel().tolist()
+                    dropped_cols += cols.tolist()
+            assert len(cut.layout.elim_blocks) == sum(steps) - d == 9
+        rows = np.setdiff1d(np.arange(full.shape[0]), dropped_rows)
+        cols = np.setdiff1d(np.arange(full.shape[1]), dropped_cols)
+        assert np.array_equal(cut.C.toarray(), full.C.toarray()[np.ix_(rows, cols)])
+        assert np.array_equal(cut.b, full.b[rows])
+        assert cut.layout.m == rows.size and cut.layout.n == cols.size
+
+    def test_per_row_layout_roundtrip(self):
+        # decode fills the dropped rows M_t[i, :] with zeros; encode writes
+        # only the kept ones, so encode(decode(z)) == z.
+        rng = np.random.default_rng(72)
+        problem = InvarianceProblem(random_stable_system(rng, 3), unit_box(3), 4, UtpdParameterization(3), "lgv")
+        layout = assemble_utpd(problem, [1, 5, 3]).layout
+        z = rng.uniform(0.5, 2.0, layout.n)
+        parts = layout.decode(z)
+        assert parts["lifted"].shape == (4, 3, 3)
+        assert np.all(parts["lifted"][:, 0] == 0.0) and np.all(parts["lifted"][2:, 2] == 0.0)
+        assert np.all(parts["lifted"][:, 1] > 0.0) and np.all(parts["lifted"][:2, 2] > 0.0)
+        back = layout.encode(parts["center"], parts["free"], aux0=parts["aux0"], lifted=parts["lifted"])
+        assert np.array_equal(back, z)
+
+    def test_rejects_bad_row_steps(self):
+        problem = InvarianceProblem(AffineSystem(np.eye(2), np.zeros(2)), unit_box(2), 3, UtpdParameterization(2), "lgv")
+        for steps in ([0, 2], [1, 5], [1, 2, 3]):
+            with pytest.raises(DimensionError):
+                assemble_utpd(problem, steps)
 
 
 class TestWarmStart:
@@ -405,7 +461,7 @@ class TestWarmStart:
             sys_ = AffineSystem(a, np.zeros(d))
             problem = InvarianceProblem(sys_, unit_box(d), 10, make_param(), "lgv")
             system = assemble(problem)
-            z0 = warm_start_point(problem, system.layout)
+            z0 = warm_start_point(problem, system)
             assert float(np.min(system.slacks(z0))) > 0.0
 
     def test_can_be_infeasible_under_large_drift(self):
@@ -415,8 +471,59 @@ class TestWarmStart:
         param = SfgParameterization([[1.0]])
         problem = InvarianceProblem(sys_, unit_box(1), 5, param, "lgv")
         system = assemble(problem)
-        z0 = warm_start_point(problem, system.layout)
+        z0 = warm_start_point(problem, system)
         assert float(np.min(system.slacks(z0))) < 0.0
+        # The midpoint start itself, not a point moved along the ray.
+        assert np.array_equal(z0, system.layout.encode([0.0], param.initial_free()))
+
+    @staticmethod
+    def problems(scale=1.0):
+        # Drifted toward an equilibrium inside the box (+-0.4 of its half-width);
+        # the box, w and the floors all scale with ``scale``.
+        rng = np.random.default_rng(52)
+        mid = np.array([3.0, -1.0, 0.5])
+        for kind in ("sfg", "utpd", "sfg", "utpd"):
+            a = random_stable_system(rng, 3, spectral_radius=0.9).A
+            x_star = mid + rng.uniform(-0.4, 0.4, 3)
+            w = scale * (np.eye(3) - a) @ x_star
+            box = Box(scale * (mid - 1.0), scale * (mid + 1.0))
+            if kind == "sfg":
+                param = SfgParameterization(np.hstack([np.eye(3), rng.standard_normal((3, 3))]), scale_floor=scale * 1e-6)
+            else:
+                param = UtpdParameterization(3, diag_floor=scale * 1e-6)
+            yield InvarianceProblem(AffineSystem(a, w), box, 30, param, "lgv")
+
+    @staticmethod
+    def midpoint_start(problem, system):
+        # z0: box midpoint, initial_free(), auxiliaries padded by 10 diag_floor.
+        layout, param = system.layout, problem.parameterization
+        if layout.kind == "sfg":
+            return layout.encode(problem.box.midpoint, param.initial_free())
+        pad = 10.0 * param.diag_floor
+        g0 = param.unpack(param.initial_free())
+        powers = np.stack([np.linalg.matrix_power(problem.system.A, t) for t in range(1, layout.horizon + 1)])
+        return layout.encode(problem.box.midpoint, param.initial_free(), aux0=np.full(3, pad),
+                             lifted=np.abs(powers @ g0).reshape(layout.horizon, 3, 3) + pad)
+
+    def test_keeps_half_the_slack_of_the_midpoint_start(self):
+        # Half the largest step along the ray: every slack keeps at least half
+        # its value at z0, and the row that bounds the ray keeps exactly half.
+        for problem in self.problems():
+            system = assemble(problem)
+            ratio = system.slacks(warm_start_point(problem, system)) / system.slacks(self.midpoint_start(problem, system))
+            assert np.min(ratio) == pytest.approx(0.5, rel=1e-9)
+
+    def test_scales_with_the_box(self):
+        def warm_parts(problem):
+            system = assemble(problem)
+            return system.layout.decode(warm_start_point(problem, system))
+
+        base = [warm_parts(problem) for problem in self.problems()]
+        for scale in (1e-6, 1e6):
+            for parts, scaled in zip(base, self.problems(scale)):
+                scaled_parts = warm_parts(scaled)
+                for key in ("center", "generators"):
+                    assert np.allclose(scaled_parts[key], scale * parts[key], rtol=1e-12, atol=0.0)
 
 
 class TestCertificate:

@@ -28,7 +28,6 @@ from zonoinv.solver import (
     _KKTSolver,
     _phase1_system,
     _step,
-    kkt_residual,
     maximize,
     phase1_feasible_point,
     solve_invariance,
@@ -170,7 +169,7 @@ class TestPhase1:
             [[1.0]], [0.02], Box([0.0], [1.0]), 30, SfgParameterization([[1.0]], scale_floor=1e-8), "lgv"
         )
         system = assemble(problem)
-        warm = warm_start_point(problem, system.layout)
+        warm = warm_start_point(problem, system)
         assert float(np.min(system.slacks(warm))) < 0.0
         result = solve_invariance(problem)
         assert result.status == OPTIMAL
@@ -256,7 +255,7 @@ class TestMaximize:
 
         free = np.arange(layout.free.start, layout.free.stop)
         objective = EmbeddedObjective(layout.n, free, inner.value, counted)
-        z0, _ = phase1_feasible_point(system, warm_start_point(problem, layout))
+        z0, _ = phase1_feasible_point(system, warm_start_point(problem, system))
         result = maximize(system, objective, z0)
         assert result.status == OPTIMAL and result.kkt_residual <= SolverOptions().kkt_tol
         assert len(calls) == result.iterations + 1
@@ -276,12 +275,12 @@ class TestMaximize:
         assert result.iterations > 0
 
 
-def lifted_system(d, horizon, seed):
+def lifted_system(d, horizon, seed, steps=None):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d))
     a *= 0.8 / np.max(np.abs(np.linalg.eigvals(a)))
     problem = make_problem(a, 0.05 * rng.standard_normal(d), unit_box(d), horizon, UtpdParameterization(d), "lgv")
-    return assemble_utpd(problem)  # every horizon step, so the lifted blocks stay
+    return assemble_utpd(problem, steps)  # every horizon step by default, so the lifted blocks stay
 
 
 def solver_for(system, free_idx):
@@ -293,9 +292,9 @@ class TestStructuredNewtonStep:
     """The closed-form block elimination against a dense solve of the full
     ``H = C^T diag(D) C - hess_f``."""
 
-    def systems(self):
-        for d, horizon in [(1, 1), (1, 4), (3, 1), (3, 5), (4, 3)]:
-            main = lifted_system(d, horizon, seed=10 * d + horizon)
+    def systems(self, cases=((1, 1, None), (1, 4, None), (3, 1, None), (3, 5, None), (4, 3, None))):
+        for d, horizon, steps in cases:
+            main = lifted_system(d, horizon, 10 * d + horizon, steps)
             free = np.arange(main.layout.free.start, main.layout.free.stop)
             yield main, free
             yield _phase1_system(main), np.array([main.layout.n])
@@ -308,8 +307,17 @@ class TestStructuredNewtonStep:
         return h
 
     def test_matches_dense_solve(self):
-        rng = np.random.default_rng(3)
-        for system, free in self.systems():
+        self.check_against_dense(self.systems(), np.random.default_rng(3))
+
+    def test_matches_dense_solve_with_dropped_blocks(self):
+        # Per-row cuts: each time step holds a different number of blocks.
+        cases = ((3, 5, (2, 6, 4)), (4, 3, (4, 1, 2, 3)), (2, 4, (5, 1)))
+        for system, _ in self.systems(cases):
+            assert 0 < len(system.layout.elim_blocks) < system.layout.horizon * system.layout.dim
+        self.check_against_dense(self.systems(cases), np.random.default_rng(5))
+
+    def check_against_dense(self, systems, rng):
+        for system, free in systems:
             assert system.layout.elim_blocks
             m, n = system.shape
             d_row = np.exp(rng.uniform(-4.0, 4.0, m))
@@ -394,7 +402,7 @@ class TestDenseFactorizationFailure:
             lambda x: 1e6 * float(x @ x),
             lambda x: (1e6 * float(x @ x), 2e6 * x, 2e6 * np.eye(x.size)),
         )
-        result = maximize(system, objective, warm_start_point(problem, system.layout))
+        result = maximize(system, objective, warm_start_point(problem, system))
         assert result.status == NUMERICAL_FAILURE
         assert result.message.startswith("Newton system factorization failed")
 
@@ -414,7 +422,7 @@ class TestStepSlacks:
         c_op = system.C if layout.elim_blocks else system.C.toarray()
         kkt = _KKTSolver(c_op, layout.n, layout.elim_blocks, layout.block_rows, objective.free_idx)
         options = SolverOptions()
-        z, _ = phase1_feasible_point(system, warm_start_point(problem, layout), options)
+        z, _ = phase1_feasible_point(system, warm_start_point(problem, system), options)
         slacks = system.slacks(z)
         lam = options.mu0 / slacks
         for _ in range(10):
@@ -441,6 +449,22 @@ class TestBarrierSchedule:
         assert default.status == short.status == OPTIMAL
         assert default.iterations + default.phase1_iterations <= 35
         assert default.objective_value == pytest.approx(short.objective_value, rel=1e-8)
+
+
+class TestNewtonStepBudget:
+    """Newton steps are deterministic, so their count pins the interior start
+    and the row cut: the (3, 6) trials 0-2 of the acceptance seed take 122
+    steps over the four methods, phase 1 included (265 from the midpoint
+    start with tiny generators over every row up to the implied horizon)."""
+
+    def test_summed_steps_of_the_3_6_cell(self):
+        total = 0
+        for trial in range(3):
+            for kind, objective in [("sfg", "ss"), ("sfg", "slgs"), ("sfg", "lgv"), ("utpd", "lgv")]:
+                result = solve_invariance(make_trial(TrialSpec(3, 6, trial, 20260815), kind, objective))
+                assert result.status == OPTIMAL
+                total += result.iterations + result.phase1_iterations
+        assert total <= 122
 
 
 class TestOptimalityResidual:
@@ -482,7 +506,7 @@ class TestImpliedHorizon:
         objective = EmbeddedObjective.from_layout(
             system.layout, make_objective(problem.objective, problem.parameterization)
         )
-        z0, _ = phase1_feasible_point(system, warm_start_point(problem, system.layout))
+        z0, _ = phase1_feasible_point(system, warm_start_point(problem, system))
         if z0 is None:
             return INFEASIBLE, None
         result = maximize(system, objective, z0)
@@ -506,28 +530,6 @@ class TestImpliedHorizon:
                         assert abs(result.objective_value - value) <= 1e-8 * (1.0 + abs(value))
                     shortened += result.horizon_solved < problem.horizon
         assert shortened > 0
-
-
-class TestKktResidual:
-    def test_zero_at_exact_lp_optimum(self):
-        # Maximize x on -1 <= x <= 1: optimum x = 1 with dual (1, 0).
-        import scipy.sparse
-
-        from zonoinv.invariance import LinearInequalitySystem, VariableLayout
-
-        layout = VariableLayout(
-            kind="sfg", dim=1, n_generators=1, horizon=0, n=1, m=2,
-            center=slice(0, 0), free=slice(0, 1),
-        )
-        system = LinearInequalitySystem(
-            scipy.sparse.csr_matrix(np.array([[1.0], [-1.0]])), np.array([1.0, 1.0]), layout
-        )
-        objective = EmbeddedObjective(
-            1, np.array([0]), lambda x: float(x[0]),
-            lambda x: (float(x[0]), np.array([1.0]), np.zeros((1, 1))),
-        )
-        assert kkt_residual(system, objective, np.array([1.0 - 1e-12]), np.array([1.0, 0.0])) < 1e-10
-        assert kkt_residual(system, objective, np.array([0.5]), np.array([0.0, 0.0])) == pytest.approx(1.0)
 
 
 class TestDeterminism:
