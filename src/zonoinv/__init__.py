@@ -47,6 +47,7 @@ from .solver import (
     MAX_ITERATIONS,
     NUMERICAL_FAILURE,
     OPTIMAL,
+    Phase1Stopped,
     SolveResult,
     SolverOptions,
     maximize,
@@ -69,6 +70,7 @@ __all__ = [
     "NUMERICAL_FAILURE",
     "OPTIMAL",
     "Objective",
+    "Phase1Stopped",
     "RankDeficientError",
     "SchemaError",
     "SfgParameterization",

@@ -30,6 +30,11 @@ sets, Gilbert & Tan, IEEE TAC 36(9), 1991, applied per row).
 :func:`implied_steps` finds the k_i and :func:`assemble` builds only the
 rows it keeps; the feasible set in ``(c, gamma)`` or ``(c, G)`` is
 unchanged.  Certificates still check every ``t = 0..T``.
+
+The same intervals, read the other way round, show when no zonotope is
+invariant at all: every zonotope contains its center, and when row i of
+``A^k X + drift(k)`` misses ``[lo_i, up_i]`` no center in the box stays in
+it for k steps.  :func:`presolve` returns both answers from one pass.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ __all__ = [
     "VariableLayout",
     "LinearInequalitySystem",
     "reach_zonotope",
+    "presolve",
     "implied_steps",
     "assemble",
     "assemble_sfg",
@@ -243,35 +249,60 @@ def _row_steps(problem: InvarianceProblem, steps) -> np.ndarray:
     return steps
 
 
-def implied_steps(problem: InvarianceProblem, powers: np.ndarray | None = None) -> np.ndarray:
-    """Per state row i, the number k_i of time steps whose rows are kept.
+def presolve(
+    problem: InvarianceProblem, powers: np.ndarray | None = None
+) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The reach-set presolve of a solve: the row steps of
+    :func:`implied_steps`, and the first (t, i) at which the center of every
+    candidate zonotope has left the box, or None.
 
-    With m and h the box midpoint and half-widths, row i of the box maps
-    into itself in k steps when row i of ``|A^k| h + |A^k m + drift(k) - m|``
-    is at most ``h_i - margin``, for ``margin = 1e-9 max(h)``.  k_i is the
-    smallest such k >= 1, or T + 1 when no k <= T qualifies; the rows
-    (t, i) with ``t < k_i`` imply those of every t <= T (see the module
-    docstring).  The offset ``A^k m + drift(k) - m`` is summed as
-    ``sum_{s<k} A^s (A m + w - m)``, which is exact algebra and keeps a
-    far-off midpoint from cancelling.  ``powers``, when given, is
-    ``power_chain(A, T)``.
+    Let m and h be the box midpoint and half-widths, ``off(k) = A^k m +
+    drift(k) - m`` and ``spread(k) = |A^k| h``.  From a center in the box,
+    row i of the center at time k lies in ``m_i + off_i(k) +- spread_i(k)``,
+    and row i of the whole box maps to the same interval.  Row i of the box
+    maps into itself in k steps when ``|off_i(k)| + spread_i(k) <= h_i -
+    margin``; the interval misses the box when ``|off_i(k)| > spread_i(k) +
+    h_i + margin``, for ``margin = 1e-9 max(h)``.  Every invariant zonotope
+    contains its center, so in that case the problem is infeasible; the
+    first such k <= T (then the first row i) is returned as (t, i).  The
+    margin scales with the box, so neither answer depends on its units.
+    The offset is summed as ``sum_{s<k} A^s (A m + w - m)``, which is exact
+    algebra and keeps a far-off midpoint from cancelling.  ``powers``, when
+    given, is ``power_chain(A, T)``.
     """
     box, system, T = problem.box, problem.system, problem.horizon
     powers = power_chain(system.A, T) if powers is None else powers
     mid, half = box.midpoint, 0.5 * (box.upper - box.lower)
-    offsets = np.cumsum(powers[:T] @ (system.A @ mid + system.w - mid), axis=0)   # k = 1..T
-    excess = np.abs(powers[1:T + 1]) @ half + np.abs(offsets) - half + 1e-9 * np.max(half)
-    fits = np.vstack([excess <= 0.0, np.ones((1, problem.dim), dtype=bool)])   # k = 1..T, then T + 1
-    return np.argmax(fits, axis=0) + 1
+    margin = 1e-9 * np.max(half)
+    offsets = np.abs(np.cumsum(powers[:T] @ (system.A @ mid + system.w - mid), axis=0))   # k = 1..T
+    spread = np.abs(powers[1:T + 1]) @ half
+    fits = np.vstack([spread + offsets - half + margin <= 0.0, np.ones((1, problem.dim), dtype=bool)])   # then T + 1
+    leaves = np.argwhere(offsets - spread - half - margin > 0.0)   # row-major: first k, then first i
+    exit_row = (int(leaves[0, 0]) + 1, int(leaves[0, 1])) if leaves.size else None
+    return np.argmax(fits, axis=0) + 1, exit_row
 
 
-def assemble(problem: InvarianceProblem, powers: np.ndarray | None = None) -> LinearInequalitySystem:
+def implied_steps(problem: InvarianceProblem, powers: np.ndarray | None = None) -> np.ndarray:
+    """Per state row i, the number k_i of time steps whose rows are kept.
+
+    k_i is the smallest k >= 1 such that row i of the box maps into itself
+    in k steps (see :func:`presolve`), or T + 1 when no k <= T qualifies;
+    the rows (t, i) with ``t < k_i`` imply those of every t <= T (see the
+    module docstring).  ``powers``, when given, is ``power_chain(A, T)``.
+    """
+    return presolve(problem, powers)[0]
+
+
+def assemble(
+    problem: InvarianceProblem, powers: np.ndarray | None = None, steps=None
+) -> LinearInequalitySystem:
     """Assemble the constraint system for either parameterization over the
     rows that :func:`implied_steps` keeps; its layout records them.  The
     system has the same feasible set as the one over every t <= T.
-    ``powers``, when given, is ``power_chain(A, T)``."""
+    ``powers``, when given, is ``power_chain(A, T)``, and ``steps``, when
+    given, the row steps of :func:`implied_steps`."""
     powers = power_chain(problem.system.A, problem.horizon) if powers is None else powers
-    steps = implied_steps(problem, powers)
+    steps = implied_steps(problem, powers) if steps is None else steps
     if problem.parameterization.kind == "sfg":
         return assemble_sfg(problem, steps, powers)
     if problem.parameterization.kind == "utpd":

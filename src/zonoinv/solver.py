@@ -28,11 +28,18 @@ Sherman-Morrison inverts it in O(d); the Schur complement onto the about
 d^2 "kept" variables (phase 1's extra one included) is formed in closed
 form from the recorded rows.
 
-Phase 1 first tries a caller-provided warm-start point; if some slack is
-below the strict-feasibility margin it maximizes ``-s`` subject to
-``C z - s 1 <= b`` and ``s >= -1`` (only the sign of the optimum matters)
-with the same loop, and declares the problem infeasible when the optimal
-``s`` is not clearly negative.
+An ``infeasible`` status comes from one of two places.  Before anything
+is assembled, :func:`solve_invariance` runs the exact interval test of
+:func:`~zonoinv.invariance.presolve`: when the center of every candidate
+zonotope must leave the box, the solve ends after zero Newton steps and
+its message names the time step and row.  What that test misses is left
+to phase 1.  Phase 1 first tries a caller-provided warm-start point; if
+some slack is below the strict-feasibility margin it maximizes ``-s``
+subject to ``C z - s 1 <= b`` and ``s >= -1`` (only the sign of the optimum
+matters) with the same loop.  It declares the problem infeasible only when
+that solve is optimal and ``s`` is not clearly negative; when it stops
+otherwise (time limit, iteration cap, numerical failure) its own status
+and message are reported.
 """
 
 from __future__ import annotations
@@ -45,13 +52,14 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, ZonoinvError
 from .invariance import (
     InvarianceProblem,
     LinearInequalitySystem,
     VariableLayout,
     assemble,
     check_invariance_certificate,
+    presolve,
     warm_start_point,
 )
 from .numerics import is_finite_positive, power_chain
@@ -67,6 +75,7 @@ __all__ = [
     "SolveResult",
     "EmbeddedObjective",
     "maximize",
+    "Phase1Stopped",
     "phase1_feasible_point",
     "solve_invariance",
 ]
@@ -148,7 +157,12 @@ class SolveResult:
     iterate; it is nondecreasing up to round-off.  ``horizon_solved`` is the
     last time step with rows in the assembled system (``max k_i - 1`` for
     the per-row step counts of :func:`~zonoinv.invariance.implied_steps`),
-    set by :func:`solve_invariance`.
+    set by :func:`solve_invariance`.  ``message`` says why a solve is not
+    ``optimal``.  For ``infeasible`` it is ``"no strictly feasible point: "``
+    and the reason: the row i and time step k at which the presolve shows
+    that the center must leave the box, or phase 1 finding no point with
+    every slack above ``phase1_margin``.  A phase 1 that stops early
+    reports its own status, and its message prefixed with ``"phase 1: "``.
     """
 
     status: str
@@ -553,6 +567,16 @@ def _phase1_system(system: LinearInequalitySystem) -> LinearInequalitySystem:
     return LinearInequalitySystem(c_aux, b_aux, layout)
 
 
+class Phase1Stopped(ZonoinvError):
+    """Phase 1 ended before it could decide feasibility: its auxiliary solve
+    stopped with ``status`` (not ``optimal``) and ``message`` after
+    ``iterations`` Newton steps, at a point that is not strictly feasible."""
+
+    def __init__(self, status: str, message: str, iterations: int):
+        super().__init__(f"phase 1 stopped: {status} ({message})")
+        self.status, self.message, self.iterations = status, message, iterations
+
+
 def phase1_feasible_point(
     system: LinearInequalitySystem,
     warm_start=None,
@@ -562,9 +586,11 @@ def phase1_feasible_point(
     """Find a strictly feasible point with slack margin ``phase1_margin``.
 
     Returns ``(z, iterations)`` on success and ``(None, iterations)`` when the
-    system is infeasible (no point with every slack above the margin exists).
-    A warm-start candidate short-circuits the auxiliary solve when its worst
-    slack already clears the margin.
+    system is infeasible: the auxiliary solve reached ``optimal`` and no
+    point has every slack above the margin.  Any other end of the auxiliary
+    solve without such a point raises :class:`Phase1Stopped`.  A warm-start
+    candidate short-circuits the auxiliary solve when its worst slack
+    already clears the margin.
     """
     options = options or SolverOptions()
     margin = options.phase1_margin
@@ -587,26 +613,39 @@ def phase1_feasible_point(
         lambda x: (-float(x[0]), np.array([-1.0]), np.zeros((1, 1))),
     )
     result = maximize(aux, objective, x0, options, deadline)
-    if result.status not in (OPTIMAL, MAX_ITERATIONS) or result.z[n] >= -margin:
-        return None, result.iterations
-    return result.z[:n].copy(), result.iterations
+    if result.z[n] < -margin:   # every iterate is strictly feasible for the auxiliary system
+        return result.z[:n].copy(), result.iterations
+    if result.status != OPTIMAL:
+        raise Phase1Stopped(result.status, result.message, result.iterations)
+    return None, result.iterations
 
 
 def solve_invariance(problem: InvarianceProblem, options: SolverOptions | None = None) -> SolveResult:
-    """Assemble, find an interior point, maximize, decode, and certify.
+    """Presolve, assemble, find an interior point, maximize, decode, and certify.
 
-    The system holds only the rows that no earlier row implies (see
-    :func:`~zonoinv.invariance.implied_steps`); its last time step is
+    When the presolve (:func:`~zonoinv.invariance.presolve`) shows that the
+    center of every candidate zonotope must leave the box, the solve is
+    ``infeasible`` after zero Newton steps (see the module docstring).
+    Otherwise the system holds only the rows that no earlier row implies
+    (see :func:`~zonoinv.invariance.implied_steps`); its last time step is
     recorded in ``horizon_solved``, and the certificate checks every step of
-    ``problem.horizon``.  One power chain of ``A`` serves the row cut,
-    assembly and the warm start.  The reported wall time covers phase 1 and the
-    barrier solve (not assembly or certification).  ``volume`` is recomputed
-    from the decoded zonotope with the closed-form volume of the
-    parameterization.
+    ``problem.horizon``.  One power chain of ``A`` serves the presolve,
+    assembly and the warm start.  The reported wall time covers phase 1 and
+    the barrier solve (not the presolve, assembly or certification).
+    ``volume`` is recomputed from the decoded zonotope with the closed-form
+    volume of the parameterization.
     """
     options = options or SolverOptions()
-    powers = power_chain(problem.system.A, problem.horizon)   # shared by the row cut, assembly and warm start
-    system = assemble(problem, powers)
+    powers = power_chain(problem.system.A, problem.horizon)   # shared by the presolve, assembly and warm start
+    steps, exit_row = presolve(problem, powers)
+    if exit_row is not None:
+        t, i = exit_row
+        return SolveResult(
+            status=INFEASIBLE, z=None, objective_value=None, iterations=0, wall_time=0.0,
+            horizon_solved=int(steps.max()) - 1,
+            message=f"no strictly feasible point: the center leaves the box in row {i} at t = {t}",
+        )
+    system = assemble(problem, powers, steps)
     layout = system.layout
     inner = make_objective(problem.objective, problem.parameterization)
     objective = EmbeddedObjective.from_layout(layout, inner)
@@ -614,13 +653,19 @@ def solve_invariance(problem: InvarianceProblem, options: SolverOptions | None =
 
     t0 = time.perf_counter()
     deadline = None if options.time_limit is None else t0 + options.time_limit
-    z0, phase1_iters = phase1_feasible_point(system, warm, options, deadline)
+    try:
+        z0, phase1_iters = phase1_feasible_point(system, warm, options, deadline)
+    except Phase1Stopped as stop:
+        z0, phase1_iters, status, message = None, stop.iterations, stop.status, f"phase 1: {stop.message}"
+    else:
+        status = INFEASIBLE
+        message = f"no strictly feasible point: phase 1 finds no point with every slack above {options.phase1_margin:g}"
     if z0 is None:
         return SolveResult(
-            status=INFEASIBLE, z=None, objective_value=None,
+            status=status, z=None, objective_value=None,
             iterations=0, wall_time=time.perf_counter() - t0,
             phase1_iterations=phase1_iters, horizon_solved=layout.horizon,
-            message="no strictly feasible point",
+            message=message,
         )
     result = maximize(system, objective, z0, options, deadline)
     result.wall_time = time.perf_counter() - t0

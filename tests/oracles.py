@@ -8,6 +8,8 @@ without touching the package's code paths, trading speed for obviousness:
   (every n-subset of constraint rows), feasible for tiny systems only.
 * ``brute_force_zonotope_volume_2d``: shoelace area of the convex hull of all
   sign vertices (planar only).
+* ``center_trajectory_feasible``: whether some center trajectory stays in
+  the box, by an LP solved with HiGHS.
 * ``random_utpd_matrix`` / ``random_full_rank_template``: simple generators
   for test instances.
 """
@@ -18,6 +20,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def taylor_expm(matrix: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -54,6 +57,28 @@ def lp_vertex_optimum(c: np.ndarray, a_matrix: np.ndarray, b: np.ndarray, tol: f
     if best_point is None:
         raise ValueError("no feasible basic point found (unbounded or empty?)")
     return best_value, best_point
+
+
+def center_trajectory_feasible(a_matrix, w, lower, upper, horizon: int) -> bool:
+    """Does some c satisfy ``lower <= A^t c + drift(t) <= upper`` for every
+    t = 0..horizon, with ``drift(t) = sum_{s<t} A^(t-1-s) w``?
+
+    Builds the rows by stepping the trajectory one t at a time and asks
+    HiGHS for any feasible point (zero objective)."""
+    a_matrix = np.asarray(a_matrix, dtype=float)
+    w, lower, upper = (np.asarray(v, dtype=float) for v in (w, lower, upper))
+    d = w.size
+    power, drift = np.eye(d), np.zeros(d)
+    rows, rhs = [], []
+    for _ in range(horizon + 1):
+        rows += [power, -power]
+        rhs += [upper - drift, drift - lower]
+        power, drift = a_matrix @ power, a_matrix @ drift + w
+    res = linprog(np.zeros(d), A_ub=np.vstack(rows), b_ub=np.concatenate(rhs), bounds=[(None, None)] * d,
+                  method="highs")
+    if res.status not in (0, 2):
+        raise RuntimeError(f"center-trajectory LP failed: {res.message}")
+    return res.status == 0
 
 
 def brute_force_zonotope_volume_2d(center: np.ndarray, generators: np.ndarray) -> float:

@@ -72,6 +72,24 @@ class TestSolve:
         assert code == 2
         assert json.loads(out)["status"] == "infeasible"
 
+    def test_time_limit_in_phase1_exit_one_not_two(self, tmp_path, capsys):
+        # Feasible, but the midpoint warm start leaves [0, 1] under the drift,
+        # so phase 1 runs; cut short by the clock it decides nothing.
+        raw = {
+            "A": [[1.0]],
+            "w": [0.02],
+            "box": {"lower": [0.0], "upper": [1.0]},
+            "T": 30,
+            "parameterization": {"kind": "sfg", "template": [[1.0]], "scale_floor": 1e-8},
+            "objective": "lgv",
+        }
+        path = tmp_path / "p.json"
+        write_json(path, raw)
+        code, out, err = run_cli(capsys, "solve", str(path), "--time-limit", "1e-9")
+        assert code == 1
+        assert json.loads(out)["status"] == "max_iterations"
+        assert "time limit reached" in err
+
     def test_schema_error_exit_one_names_field(self, tmp_path, capsys):
         raw = feasible_problem_dict()
         del raw["T"]

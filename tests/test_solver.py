@@ -2,6 +2,7 @@
 status handling, and determinism."""
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from zonoinv.invariance import (
     assemble,
     assemble_sfg,
     assemble_utpd,
+    presolve,
     warm_start_point,
 )
 from zonoinv.parameterizations import SfgParameterization, UtpdParameterization, make_objective
@@ -24,6 +26,7 @@ from zonoinv.solver import (
     NUMERICAL_FAILURE,
     OPTIMAL,
     EmbeddedObjective,
+    Phase1Stopped,
     SolverOptions,
     _KKTSolver,
     _phase1_system,
@@ -186,7 +189,32 @@ class TestPhase1:
         result = solve_invariance(problem)
         assert result.status == INFEASIBLE
         assert result.z is None and result.volume is None
-        assert result.message == "no strictly feasible point"
+        # The center of any zonotope in the box is at 0.5 c + 2 >= 1.5 at t = 1.
+        assert result.message.startswith("no strictly feasible point: ")
+        assert result.message.endswith("in row 0 at t = 1")
+
+    def test_time_limit_in_phase1_is_not_infeasible(self):
+        # The feasible instance of test_recovers_from_infeasible_warm_start:
+        # its warm start fails and the presolve does not flag it, so phase 1
+        # runs, and a phase 1 cut short by the clock decides nothing.
+        problem = make_problem(
+            [[1.0]], [0.02], Box([0.0], [1.0]), 30, SfgParameterization([[1.0]], scale_floor=1e-8), "lgv"
+        )
+        assert presolve(problem)[1] is None
+        result = solve_invariance(problem, SolverOptions(time_limit=1e-9))
+        assert result.status == MAX_ITERATIONS
+        assert "time limit reached" in result.message
+        assert result.z is None and result.iterations == 0
+
+    def test_phase1_direct_call_stopped_raises(self):
+        problem = make_problem(
+            [[1.0]], [0.02], Box([0.0], [1.0]), 30, SfgParameterization([[1.0]], scale_floor=1e-8), "lgv"
+        )
+        system = assemble(problem)
+        with pytest.raises(Phase1Stopped) as stopped:
+            phase1_feasible_point(system, warm_start_point(problem, system), deadline=time.perf_counter() - 1.0)
+        assert stopped.value.status == MAX_ITERATIONS
+        assert stopped.value.message == "time limit reached"
 
     def test_phase1_direct_call_feasible(self):
         problem = make_problem([[0.8]], [0.0], unit_box(1), 5, SfgParameterization([[1.0]]), "lgv")
@@ -265,9 +293,8 @@ class TestMaximize:
             np.eye(3) * 0.9, np.zeros(3), unit_box(3), 20, UtpdParameterization(3), "lgv"
         )
         result = solve_invariance(problem, SolverOptions(time_limit=1e-9))
-        assert result.status in (MAX_ITERATIONS, INFEASIBLE)
-        if result.status == MAX_ITERATIONS:
-            assert "time limit" in result.message
+        assert result.status == MAX_ITERATIONS
+        assert "time limit" in result.message
 
     def test_iterations_counted(self):
         problem = make_problem([[0.5]], [0.0], unit_box(1), 10, SfgParameterization([[1.0]]), "lgv")
