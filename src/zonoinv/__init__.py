@@ -29,7 +29,6 @@ from .invariance import (
     assemble,
     certificate_violation,
     check_invariance_certificate,
-    reach_zonotope,
     warm_start_point,
 )
 from .parameterizations import (
@@ -55,7 +54,7 @@ from .solver import (
     solve_invariance,
 )
 from .sysgen import TrialSpec, derive_trial_seed, make_trial, random_stable_A, template_generators
-from .zonotope import Box, Zonotope, affine_image, contained_in_box, interval_hull, volume_exact
+from .zonotope import Box, Zonotope, interval_hull, volume_exact
 
 __version__ = "1.0.0"
 
@@ -81,11 +80,9 @@ __all__ = [
     "UtpdParameterization",
     "Zonotope",
     "ZonoinvError",
-    "affine_image",
     "assemble",
     "certificate_violation",
     "check_invariance_certificate",
-    "contained_in_box",
     "derive_trial_seed",
     "interval_hull",
     "make_objective",
@@ -93,7 +90,6 @@ __all__ = [
     "maximize",
     "phase1_feasible_point",
     "random_stable_A",
-    "reach_zonotope",
     "sfg_log_volume_grad_hess",
     "sfg_precompute_weights",
     "sfg_volume",

@@ -29,7 +29,6 @@ __all__ = [
     "problem_to_dict",
     "problem_from_dict",
     "load_problem",
-    "save_problem",
     "zonotope_to_dict",
     "zonotope_from_dict",
     "load_zonotope",
@@ -228,10 +227,6 @@ def problem_from_dict(raw: dict, context: str = "problem"):
 
 def load_problem(path):
     return problem_from_dict(_load_json(path), context=str(path))
-
-
-def save_problem(path, problem, options=None, seed=None) -> None:
-    write_json(path, problem_to_dict(problem, options=options, seed=seed))
 
 
 # ---------------------------------------------------------------------------

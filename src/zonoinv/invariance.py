@@ -47,14 +47,13 @@ import scipy.sparse
 from .errors import DimensionError, UnsupportedError
 from .numerics import as_matrix, as_vector, power_chain
 from .parameterizations import SfgParameterization, UtpdParameterization, make_objective
-from .zonotope import Box, Zonotope, affine_image
+from .zonotope import Box, Zonotope
 
 __all__ = [
     "AffineSystem",
     "InvarianceProblem",
     "VariableLayout",
     "LinearInequalitySystem",
-    "reach_zonotope",
     "presolve",
     "implied_steps",
     "assemble",
@@ -123,14 +122,6 @@ def _drift_table(system: AffineSystem, horizon: int) -> np.ndarray:
     return drifts
 
 
-def reach_zonotope(system: AffineSystem, zonotope: Zonotope, t: int) -> Zonotope:
-    """Reach set at time ``t``: center ``A^t c + drift(t)``, generators ``A^t G``."""
-    if zonotope.dim != system.dim:
-        raise DimensionError("zonotope dimension does not match system dimension")
-    powers = power_chain(system.A, t)
-    return affine_image(zonotope, powers[t], _drift_table(system, t)[t])
-
-
 @dataclass(frozen=True)
 class VariableLayout:
     """Where each variable group lives inside the stacked vector ``z``.
@@ -151,6 +142,15 @@ class VariableLayout:
     entry of the group); pair d holds the lower and upper box rows of (t, i)
     (coefficient +1 on every entry of the group).  So the group's barrier
     Hessian is diagonal plus rank one, and groups share no row.
+
+    ``block_support`` and ``block_coef`` hold what those rows have on the
+    other columns.  ``block_support`` has shape (d + 1, w): row j < d lists
+    the columns of ``G[k, j]``, k <= j, that aux pair j touches, row d the
+    columns of c that the box pair touches, each padded with -1 (w = d for
+    :func:`assemble_utpd`).  ``block_coef`` has shape (d + 1, 2, B, w) for
+    B blocks: ``block_coef[g, h, b, s]`` is the entry of row h of pair g of
+    block b on column ``block_support[g, s]``, zero on padding.  Both are
+    None in a scaled-template layout.
     """
 
     kind: str
@@ -165,6 +165,8 @@ class VariableLayout:
     lifted: slice | None = None
     elim_blocks: tuple = ()
     block_rows: tuple = ()
+    block_support: np.ndarray | None = None
+    block_coef: np.ndarray | None = None
     parameterization: object = None
 
     @property
@@ -360,8 +362,11 @@ def assemble_utpd(problem: InvarianceProblem, steps=None, powers: np.ndarray | N
 
     Each row family is one broadcast of (row, column, value) over its index
     grid; the columns of ``G[k, j]`` and ``aux0[i, j]`` come from two packed
-    position tables.  The CSR conversion sorts every row by column, so the
-    order of the families does not change ``C``.
+    position tables.  The entries of the t >= 1 rows outside their blocks are
+    written from ``block_support`` and ``block_coef``, which the layout keeps
+    for the Newton solver (see :class:`VariableLayout`).  The CSR conversion
+    sorts every row by column, so the order of the families does not change
+    ``C``.
     """
     param = problem.parameterization
     if param.kind != "utpd":
@@ -409,6 +414,17 @@ def assemble_utpd(problem: InvarianceProblem, steps=None, powers: np.ndarray | N
     m_cols = m_off + np.arange(n_blocks * d, dtype=np.intp).reshape(n_blocks, d)
     box_t = block_rows[:, d, np.newaxis, :]              # (B, 1, 2)
     a_rows = powers[t_blk, i_blk]                        # (B, d): row i of A^t
+    # What the block rows hold outside the blocks: aux pair j has
+    # +-(A^t G)[i, j] = +-sum_{k<=j} (A^t)[i, k] G[k, j], the box pair -+(A^t c)_i.
+    block_support = np.full((d + 1, d), -1, dtype=np.intp)
+    block_support[j_tri, k_tri] = g_pos[k_tri, j_tri]
+    block_support[d] = idx
+    block_coef = np.zeros((d + 1, 2, n_blocks, d))
+    block_coef[j_tri, :, :, k_tri] = pm[:, np.newaxis] * a_rows.T[k_tri, np.newaxis, :]
+    block_coef[d] = -pm[:, np.newaxis, np.newaxis] * a_rows
+    pair_rows, pair_cols = np.broadcast_arrays(block_rows.transpose(1, 2, 0)[..., np.newaxis],
+                                               block_support[:, np.newaxis, np.newaxis])
+    on = pair_cols >= 0
 
     families = [  # (rows, columns, values), broadcast against each other
         (idx, diag_cols, -1.0),                                   # -G[i, i] <= -diag_floor
@@ -417,11 +433,9 @@ def assemble_utpd(problem: InvarianceProblem, steps=None, powers: np.ndarray | N
         (box0[i_off], aux0_pos[i_off, j_off, np.newaxis], 1.0),   #   + aux0[i, j], j > i
         (aux0_rows, g_pos[i_off, j_off, np.newaxis], pm),         # +-G[i, j] - aux0[i, j] <= 0
         (aux0_rows, aux0_pos[i_off, j_off, np.newaxis], -1.0),
-        (block_rows[:, j_tri], g_pos[k_tri, j_tri, np.newaxis],   # +-(A^t G)[i, j], k <= j
-         a_rows[:, k_tri, np.newaxis] * pm),
-        (block_rows[:, :d], m_cols[..., np.newaxis], -1.0),       #   - M_t[i, j] <= 0
-        (box_t, idx[:, np.newaxis], a_rows[:, :, np.newaxis] * -pm),   # t >= 1 box rows: -+(A^t c)_i
-        (box_t, m_cols[..., np.newaxis], 1.0),                    #   + sum_j M_t[i, j]
+        (pair_rows[on], pair_cols[on], block_coef[on]),           # t >= 1 block rows, outside the blocks
+        (block_rows[:, :d], m_cols[..., np.newaxis], -1.0),       # aux rows: - M_t[i, j] <= 0
+        (box_t, m_cols[..., np.newaxis], 1.0),                    # box rows: + sum_j M_t[i, j]
     ]
     triples = [[a.ravel() for a in np.broadcast_arrays(*family)] for family in families]
     rows, cols, vals = (np.concatenate(part) for part in zip(*triples))
@@ -438,7 +452,7 @@ def assemble_utpd(problem: InvarianceProblem, steps=None, powers: np.ndarray | N
         center=slice(0, d), free=slice(d, aux0_off), aux0=slice(aux0_off, m_off),
         lifted=slice(m_off, n) if n_blocks else None,
         elim_blocks=tuple(m_cols), block_rows=tuple(block_rows),
-        parameterization=param,
+        block_support=block_support, block_coef=block_coef, parameterization=param,
     )
     return LinearInequalitySystem(c_mat, b, layout)
 

@@ -73,7 +73,6 @@ __all__ = [
     "NUMERICAL_FAILURE",
     "SolverOptions",
     "SolveResult",
-    "EmbeddedObjective",
     "maximize",
     "Phase1Stopped",
     "phase1_feasible_point",
@@ -180,38 +179,6 @@ class SolveResult:
     message: str = ""
 
 
-class EmbeddedObjective:
-    """Concave objective acting on a subset of the stacked variables.
-
-    ``value_fn(x)`` returns the objective at the selected coordinates;
-    ``vgh_fn(x)`` returns (value, gradient, dense Hessian) over them.  All
-    remaining coordinates have zero gradient/Hessian.
-    """
-
-    def __init__(self, n: int, free_idx: np.ndarray, value_fn, vgh_fn):
-        self.n = int(n)
-        self.free_idx = np.asarray(free_idx, dtype=np.intp)
-        self._value_fn = value_fn
-        self._vgh_fn = vgh_fn
-
-    def value(self, z) -> float:
-        return float(self._value_fn(z[self.free_idx]))
-
-    def value_grad_hess(self, z):
-        value, grad, hess = self._vgh_fn(z[self.free_idx])
-        return float(value), np.asarray(grad, dtype=float), np.asarray(hess, dtype=float)
-
-    def grad_full(self, grad_free) -> np.ndarray:
-        out = np.zeros(self.n)
-        out[self.free_idx] = grad_free
-        return out
-
-    @classmethod
-    def from_layout(cls, layout: VariableLayout, objective) -> "EmbeddedObjective":
-        idx = np.arange(layout.free.start, layout.free.stop, dtype=np.intp)
-        return cls(layout.n, idx, objective.value, objective.value_grad_hess)
-
-
 class _KKTSolver:
     """Newton-system solver ``H delta = r`` for ``H = C^T diag(D) C - hess_f``.
 
@@ -239,43 +206,27 @@ class _KKTSolver:
     per pair over its support, the rank-one coupling between the pairs of
     each block, and last ``-hess_f`` on the objective's variables (Boyd &
     Vandenberghe, *Convex Optimization*, App. C.4: block elimination with
-    the matrix inversion lemma).  Construction checks once that the block
-    columns of ``C`` are exactly that pattern, then reads the rows outside
-    the blocks and every pair's support and coefficients from one pass over
-    the entries of ``C``.
+    the matrix inversion lemma).  The supports and coefficients are the
+    layout's ``block_support`` and ``block_coef``; of ``C`` only the rows
+    outside the blocks are read.
     """
 
-    def __init__(self, c_matrix, n: int, blocks: tuple, block_rows: tuple, free_idx: np.ndarray):
+    def __init__(self, c_matrix, layout: VariableLayout):
         self.C = c_matrix
         self.CT = c_matrix.T.tocsr() if scipy.sparse.issparse(c_matrix) else c_matrix.T
-        self.n = n
-        self.n_blocks = len(blocks)
-        free_idx = np.asarray(free_idx, dtype=np.intp)
-        if not blocks:
+        self.n = n = layout.n
+        self.free = layout.free
+        self.n_blocks = len(layout.elim_blocks)
+        free_idx = np.arange(layout.free.start, layout.free.stop)
+        if not layout.elim_blocks:
             # Row-major positions of the (free, free) entries of H.
             self.free_flat = (free_idx[:, np.newaxis] * n + free_idx).ravel()
             return
 
-        self.blocks = np.array(blocks, dtype=np.intp)               # (B, d)
-        rows = np.array(block_rows, dtype=np.intp)                  # (B, d + 1, 2)
+        self.blocks = np.array(layout.elim_blocks, dtype=np.intp)   # (B, d)
+        rows = np.array(layout.block_rows, dtype=np.intp)           # (B, d + 1, 2)
         n_blocks, blk = self.blocks.shape
         m = c_matrix.shape[0]
-        if rows.shape != (n_blocks, blk + 1, 2):
-            raise ValueError("block_rows must hold d + 1 row pairs per elimination block")
-        if max(np.bincount(self.blocks.ravel()).max(), np.bincount(rows.ravel()).max()) > 1:
-            raise ValueError("elimination blocks must not share variables or rows")
-        # The block columns of C, read as rows of C^T, against the recorded pattern.
-        col = np.arange(n_blocks * blk).reshape(n_blocks, blk)
-        pair_r, pair_c = np.broadcast_arrays(rows[:, :blk, :], col[:, :, np.newaxis])
-        box_r, box_c = np.broadcast_arrays(rows[:, blk, :, np.newaxis], col[:, np.newaxis, :])
-        expected = scipy.sparse.csr_matrix(
-            (np.r_[-np.ones(pair_r.size), np.ones(box_r.size)],
-             (np.r_[pair_c.ravel(), box_c.ravel()], np.r_[pair_r.ravel(), box_r.ravel()])),
-            shape=(n_blocks * blk, m),
-        )
-        if (self.CT[self.blocks.ravel()] != expected).nnz:
-            raise ValueError("elimination blocks are coupled: block columns of C do not match the recorded rows")
-
         is_kept = np.ones(n, dtype=bool)
         is_kept[self.blocks] = False
         self.kept = np.flatnonzero(is_kept)
@@ -286,17 +237,14 @@ class _KKTSolver:
         if np.any(free_kept < 0):
             raise ValueError("objective variables must not be eliminated")
         stride = n_keep + 1              # Schur entries are scattered into (n_keep + 1)^2
-        # One pass over the entries of C, in kept-column coordinates: the
-        # check above leaves nothing but the recorded entries in block columns.
-        entries = scipy.sparse.csr_matrix(c_matrix).tocoo()
-        on = is_kept[entries.col]
-        e_row, e_col, e_val = entries.row[on].astype(np.intp), kept_pos[entries.col[on]], entries.data[on]
 
-        # C_0^T D_0 C_0 as one term per pair of stored entries in a row outside the blocks.
+        # C_0^T D_0 C_0 as one term per pair of stored entries in a row
+        # outside the blocks; those rows touch kept columns only.
         outside = np.ones(m, dtype=bool)
         outside[rows.ravel()] = False
-        in0 = outside[e_row]
-        row0, col0, val0 = e_row[in0], e_col[in0], e_val[in0]
+        outside_rows = np.flatnonzero(outside)
+        entries = c_matrix[outside_rows].tocoo()
+        row0, col0, val0 = outside_rows[entries.row], kept_pos[entries.col], entries.data
         per_row = np.bincount(row0, minlength=m)
         sizes = per_row[row0]
         left = np.repeat(np.arange(row0.size), sizes)
@@ -306,23 +254,12 @@ class _KKTSolver:
         self.gram_vals = val0[left] * val0[right]
 
         # Row pair g of every block: (d + 1, 2B), first rows then second rows.
-        # Its kept coefficients are stored densely over the pair's support
-        # (its kept columns, sorted), padded with the dummy column n_keep.
+        # Its kept coefficients are stored densely over the pair's support,
+        # padded with the dummy column n_keep.
         self.pair_rows = rows.transpose(1, 2, 0).reshape(blk + 1, 2 * n_blocks)
-        pair_of = np.full(m, -1, dtype=np.intp)
-        pair_of[self.pair_rows.ravel()] = np.arange(self.pair_rows.size)
-        in_pair = pair_of[e_row] >= 0
-        pair_row, pair_col = pair_of[e_row[in_pair]], e_col[in_pair]
-        key = pair_row // (2 * n_blocks) * n_keep + pair_col      # (g, kept column)
-        touched = np.zeros((blk + 1, n_keep), dtype=bool)
-        touched.ravel()[key] = True
-        slot = np.cumsum(touched, axis=1) - 1                      # slot of each column in its support
-        width = int(slot[:, -1].max()) + 1
-        self.support = np.full((blk + 1, width), n_keep, dtype=np.intp)
-        support_g, support_col = np.nonzero(touched)
-        self.support[support_g, slot[support_g, support_col]] = support_col
-        self.coef = np.zeros((blk + 1, 2 * n_blocks, width))
-        self.coef.ravel()[pair_row * width + slot.ravel()[key]] = e_val[in_pair]
+        support = layout.block_support
+        self.support = np.where(support >= 0, kept_pos[support], n_keep)
+        self.coef = layout.block_coef.reshape(blk + 1, 2 * n_blocks, support.shape[1])
         self.coef_t = np.ascontiguousarray(self.coef.transpose(0, 2, 1))
         # Kept columns touched by the variable pairs, and the slot of each
         # padded support entry of each block in a (B, |cross| + 1) array.
@@ -427,9 +364,9 @@ class _KKTSolver:
 def _step(b, objective, z, slacks, lam, mu, f_value, grad, hess_free, options, kkt):
     """One primal-dual Newton step at barrier weight ``mu`` from ``z``, where
     the objective has value ``f_value``, full gradient ``grad`` and free-block
-    Hessian ``hess_free``; ``kkt`` holds ``C`` and ``C^T``.  Returns the new
-    ``(z, b - C z, lam)``, or None when the line search finds no acceptable
-    step."""
+    Hessian ``hess_free``; ``kkt`` holds ``C``, ``C^T`` and the free slice.
+    Returns the new ``(z, b - C z, lam)``, or None when the line search finds
+    no acceptable step."""
     inv_s = 1.0 / slacks
     grad_phi = -grad + mu * (kkt.CT @ inv_s)
     delta, dec_sq = kkt.step(lam * inv_s, -hess_free, -grad_phi, options.reg_floor)
@@ -445,7 +382,7 @@ def _step(b, objective, z, slacks, lam, mu, f_value, grad, hess_free, options, k
         s_new = slacks - alpha * step_dir
         if np.min(s_new) > 0.0:
             try:
-                phi_new = -objective.value(z_new) - mu * float(np.sum(np.log(s_new)))
+                phi_new = -objective.value(z_new[kkt.free]) - mu * float(np.sum(np.log(s_new)))
             except DomainError:
                 phi_new = np.inf
             if phi_new <= phi_here - options.armijo * alpha * dec_sq:  # dec_sq = -grad_phi . delta
@@ -467,12 +404,18 @@ def _step(b, objective, z, slacks, lam, mu, f_value, grad, hess_free, options, k
 
 def maximize(
     system: LinearInequalitySystem,
-    objective: EmbeddedObjective,
+    objective,
     x0,
     options: SolverOptions | None = None,
     deadline: float | None = None,
 ) -> SolveResult:
-    """Maximize a concave objective over ``C z <= b`` from a strictly feasible ``x0``."""
+    """Maximize a concave objective over ``C z <= b`` from a strictly feasible ``x0``.
+
+    ``objective`` acts on the free variables ``z[system.layout.free]``, as an
+    :class:`~zonoinv.parameterizations.Objective` does: ``value(free)``
+    returns its value and ``value_grad_hess(free)`` its value, gradient and
+    dense Hessian.  Every other variable has zero gradient and Hessian.
+    """
     options = options or SolverOptions()
     t0 = time.perf_counter()
     z = np.array(x0, dtype=float)
@@ -484,7 +427,8 @@ def maximize(
     # BLAS; sparse algebra only pays off for the lifted triangular systems.
     layout = system.layout
     c_op = system.C if layout.elim_blocks else system.C.toarray()
-    kkt = _KKTSolver(c_op, layout.n, layout.elim_blocks, layout.block_rows, objective.free_idx)
+    kkt = _KKTSolver(c_op, layout)
+    free = layout.free
     mu = options.mu0
     mu_min = options.gap_tol / (10.0 * slacks.size)
     lam = mu / slacks
@@ -495,8 +439,9 @@ def maximize(
         if deadline is not None and time.perf_counter() > deadline:
             status, message = MAX_ITERATIONS, "time limit reached"
             break
-        f_value, grad_free, hess_free = objective.value_grad_hess(z)
-        grad = objective.grad_full(grad_free)
+        f_value, grad_free, hess_free = objective.value_grad_hess(z[free])
+        grad = np.zeros(layout.n)
+        grad[free] = grad_free
         scale = 1.0 + float(np.max(np.abs(grad_free), initial=0.0))
         stationarity = float(np.max(np.abs(grad - kkt.CT @ lam)))
         dual = stationarity / scale
@@ -510,7 +455,7 @@ def maximize(
             steps == options.max_newton
             or max(dual, float(np.max(np.abs(slacks * lam - mu)))) <= 10.0 * mu
         ):
-            stage_objectives.append(objective.value(z))
+            stage_objectives.append(objective.value(z[free]))
             mu = max(mu_min, min(options.mu_factor * mu, mu**1.5))
             steps = 0
         if steps == options.max_newton:
@@ -527,12 +472,12 @@ def maximize(
             status, message = NUMERICAL_FAILURE, "line search stalled"
             break
         z, slacks, lam = point
-    stage_objectives.append(objective.value(z))
+    stage_objectives.append(objective.value(z[free]))
 
     result = SolveResult(
         status=status,
         z=z,
-        objective_value=float(objective.value(z)),
+        objective_value=float(objective.value(z[free])),
         iterations=iterations,
         wall_time=time.perf_counter() - t0,
         stage_objectives=stage_objectives,
@@ -549,8 +494,19 @@ def maximize(
 
 
 def _phase1_system(system: LinearInequalitySystem) -> LinearInequalitySystem:
-    """Auxiliary system over (z, s): ``C z - s 1 <= b`` and ``-s <= 1``."""
+    """Auxiliary system over (z, s): ``C z - s 1 <= b`` and ``-s <= 1``.
+
+    Every block row gains -1 on s, so each pair of the layout's
+    ``block_support`` gains s in the slot after its valid entries."""
     m, n = system.shape
+    layout = system.layout
+    support, coef = layout.block_support, layout.block_coef
+    if support is not None:
+        pair, width = np.arange(support.shape[0]), np.count_nonzero(support >= 0, axis=1)
+        support = np.hstack([support, np.full((pair.size, 1), -1)])
+        support[pair, width] = n
+        coef = np.concatenate([coef, np.zeros(coef.shape[:-1] + (1,))], axis=-1)
+        coef[pair, :, :, width] = -1.0
     extra_col = scipy.sparse.csr_matrix(-np.ones((m, 1)))
     top = scipy.sparse.hstack([system.C, extra_col], format="csr")
     bound_row = scipy.sparse.csr_matrix(
@@ -558,13 +514,26 @@ def _phase1_system(system: LinearInequalitySystem) -> LinearInequalitySystem:
     )
     c_aux = scipy.sparse.vstack([top, bound_row], format="csr")
     b_aux = np.concatenate([system.b, [1.0]])
-    layout = VariableLayout(
-        kind="phase1", dim=system.layout.dim, n_generators=system.layout.n_generators,
-        row_steps=system.layout.row_steps, n=n + 1, m=m + 1,
+    aux_layout = VariableLayout(
+        kind="phase1", dim=layout.dim, n_generators=layout.n_generators,
+        row_steps=layout.row_steps, n=n + 1, m=m + 1,
         center=slice(0, 0), free=slice(n, n + 1),
-        elim_blocks=system.layout.elim_blocks, block_rows=system.layout.block_rows,
+        elim_blocks=layout.elim_blocks, block_rows=layout.block_rows,
+        block_support=support, block_coef=coef,
     )
-    return LinearInequalitySystem(c_aux, b_aux, layout)
+    return LinearInequalitySystem(c_aux, b_aux, aux_layout)
+
+
+class _MinusSlack:
+    """Phase 1's objective ``-s`` on its one free variable s."""
+
+    @staticmethod
+    def value(free) -> float:
+        return -float(free[0])
+
+    @staticmethod
+    def value_grad_hess(free):
+        return -float(free[0]), np.array([-1.0]), np.zeros((1, 1))
 
 
 class Phase1Stopped(ZonoinvError):
@@ -606,13 +575,7 @@ def phase1_feasible_point(
     s0 = max(worst + 1.0, -0.5)
     x0 = np.concatenate([z0, [s0]])
 
-    objective = EmbeddedObjective(
-        n + 1,
-        np.array([n], dtype=np.intp),
-        lambda x: -float(x[0]),
-        lambda x: (-float(x[0]), np.array([-1.0]), np.zeros((1, 1))),
-    )
-    result = maximize(aux, objective, x0, options, deadline)
+    result = maximize(aux, _MinusSlack, x0, options, deadline)
     if result.z[n] < -margin:   # every iterate is strictly feasible for the auxiliary system
         return result.z[:n].copy(), result.iterations
     if result.status != OPTIMAL:
@@ -647,8 +610,7 @@ def solve_invariance(problem: InvarianceProblem, options: SolverOptions | None =
         )
     system = assemble(problem, powers, steps)
     layout = system.layout
-    inner = make_objective(problem.objective, problem.parameterization)
-    objective = EmbeddedObjective.from_layout(layout, inner)
+    objective = make_objective(problem.objective, problem.parameterization)
     warm = warm_start_point(problem, system, powers)
 
     t0 = time.perf_counter()

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .invariance import AffineSystem, InvarianceProblem
-from .numerics import block_expm
+from .numerics import block_expm, is_finite_positive
 from .parameterizations import SfgParameterization, UtpdParameterization
 from .zonotope import Box
 
@@ -59,8 +59,8 @@ class TrialSpec:
             )
         if self.trial < 0:
             raise DimensionError(f"trial must be nonnegative, got {self.trial}")
-        if self.dt <= 0.0:
-            raise DimensionError(f"dt must be positive, got {self.dt}")
+        if not is_finite_positive(self.dt):
+            raise DimensionError(f"dt must be a finite positive number, got {self.dt}")
         if self.horizon < 0:
             raise DimensionError(f"horizon must be nonnegative, got {self.horizon}")
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DimensionError, RankDeficientError
 from .numerics import as_matrix, as_vector, index_subsets
 
-__all__ = ["Box", "Zonotope", "volume_exact", "affine_image", "interval_hull", "contained_in_box"]
+__all__ = ["Box", "Zonotope", "volume_exact", "interval_hull"]
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,6 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
 
-    def contains(self, points: np.ndarray, tol: float = 0.0) -> bool:
-        """True if every row of ``points`` lies in the box within ``tol``."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return bool(np.all(pts >= self.lower - tol) and np.all(pts <= self.upper + tol))
-
 
 @dataclass(frozen=True)
 class Zonotope:
@@ -73,11 +68,6 @@ class Zonotope:
     def dim(self) -> int:
         """Ambient dimension d."""
         return self.center.shape[0]
-
-    @property
-    def order(self) -> float:
-        """Number of generators divided by the dimension, p / d."""
-        return self.generators.shape[1] / self.dim
 
     @property
     def n_generators(self) -> int:
@@ -108,13 +98,6 @@ def volume_exact(zonotope: Zonotope) -> float:
     return float(2.0 ** d * np.sum(dets))
 
 
-def affine_image(zonotope: Zonotope, matrix, offset=None) -> Zonotope:
-    """Image ``M Z + b``: center ``M c + b``, generators ``M G``."""
-    m = as_matrix(matrix, cols=zonotope.dim, name="matrix")
-    b = np.zeros(m.shape[0]) if offset is None else as_vector(offset, size=m.shape[0], name="offset")
-    return Zonotope(m @ zonotope.center + b, m @ zonotope.generators)
-
-
 def interval_hull(zonotope: Zonotope) -> Box:
     """Tightest axis-aligned box containing the zonotope.
 
@@ -122,11 +105,3 @@ def interval_hull(zonotope: Zonotope) -> Box:
     """
     radius = np.sum(np.abs(zonotope.generators), axis=1)
     return Box(zonotope.center - radius, zonotope.center + radius)
-
-
-def contained_in_box(zonotope: Zonotope, box: Box) -> bool:
-    """True iff the zonotope lies inside the box (exact interval-hull test)."""
-    if box.dim != zonotope.dim:
-        raise DimensionError(f"box dimension {box.dim} does not match zonotope dimension {zonotope.dim}")
-    hull = interval_hull(zonotope)
-    return bool(np.all(hull.lower >= box.lower) and np.all(hull.upper <= box.upper))

@@ -10,6 +10,8 @@ without touching the package's code paths, trading speed for obviousness:
   sign vertices (planar only).
 * ``center_trajectory_feasible``: whether some center trajectory stays in
   the box, by an LP solved with HiGHS.
+* ``reach_set``: center and generators of a zonotope after t steps of the
+  dynamics, by stepping them one at a time.
 * ``random_utpd_matrix`` / ``random_full_rank_template``: simple generators
   for test instances.
 """
@@ -79,6 +81,16 @@ def center_trajectory_feasible(a_matrix, w, lower, upper, horizon: int) -> bool:
     if res.status not in (0, 2):
         raise RuntimeError(f"center-trajectory LP failed: {res.message}")
     return res.status == 0
+
+
+def reach_set(a_matrix, w, center, generators, t: int):
+    """``(c_t, G_t)`` of the reach set at time t, from ``c_{s+1} = A c_s + w``
+    and ``G_{s+1} = A G_s``."""
+    a_matrix = np.asarray(a_matrix, dtype=float)
+    w, c, g = (np.asarray(v, dtype=float) for v in (w, center, generators))
+    for _ in range(t):
+        c, g = a_matrix @ c + w, a_matrix @ g
+    return c, g
 
 
 def brute_force_zonotope_volume_2d(center: np.ndarray, generators: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,16 @@ class TestGen:
         _, out_a, _ = run_cli(capsys, "gen", "--dim", "3", "--generators", "5", "--seed", "11")
         _, out_b, _ = run_cli(capsys, "gen", "--dim", "3", "--generators", "5", "--seed", "11")
         assert out_a == out_b
+
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_gen_rejects_non_finite_dt(self, capsys, dt):
+        # The step is checked before the matrix exponential sees it, so the
+        # message names dt and no numpy warning is raised on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "gen", "--dim", "2", "--generators", "3", "--dt", dt)
+        assert code == 1
+        assert err.startswith("error: dt must be a finite positive number")
 
     def test_gen_utpd_kind(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--dim", "2", "--generators", "2", "--kind", "utpd")

@@ -14,7 +14,6 @@ from zonoinv.files import (
     problem_from_dict,
     problem_to_dict,
     result_to_dict,
-    save_problem,
     solution_zonotope_from_dict,
     write_json,
     zonotope_from_dict,
@@ -77,7 +76,7 @@ class TestProblemRoundTrip:
         problem = sample_problem("sfg")
         options = SolverOptions(gap_tol=1e-9, max_newton=40)
         path = tmp_path / "problem.json"
-        save_problem(path, problem, options=options, seed=12345)
+        write_json(path, problem_to_dict(problem, options=options, seed=12345))
         back, back_options, back_seed = load_problem(path)
         assert np.array_equal(back.system.A, problem.system.A)
         assert np.array_equal(back.system.w, problem.system.w)

@@ -3,6 +3,7 @@ status handling, and determinism."""
 
 import dataclasses
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from zonoinv.solver import (
     MAX_ITERATIONS,
     NUMERICAL_FAILURE,
     OPTIMAL,
-    EmbeddedObjective,
     Phase1Stopped,
     SolverOptions,
     _KKTSolver,
@@ -235,9 +235,7 @@ class TestMaximize:
     def test_rejects_infeasible_start(self):
         problem = make_problem([[0.5]], [0.0], unit_box(1), 5, SfgParameterization([[1.0]]), "lgv")
         system = assemble(problem)
-        objective = EmbeddedObjective.from_layout(
-            system.layout, make_objective("lgv", problem.parameterization)
-        )
+        objective = make_objective("lgv", problem.parameterization)
         bad = system.layout.encode([5.0], [1.0])
         with pytest.raises(DomainError):
             maximize(system, objective, bad)
@@ -281,8 +279,7 @@ class TestMaximize:
             calls.append(None)
             return inner.value_grad_hess(x)
 
-        free = np.arange(layout.free.start, layout.free.stop)
-        objective = EmbeddedObjective(layout.n, free, inner.value, counted)
+        objective = SimpleNamespace(value=inner.value, value_grad_hess=counted)
         z0, _ = phase1_feasible_point(system, warm_start_point(problem, system))
         result = maximize(system, objective, z0)
         assert result.status == OPTIMAL and result.kkt_residual <= SolverOptions().kkt_tol
@@ -310,9 +307,32 @@ def lifted_system(d, horizon, seed, steps=None):
     return assemble_utpd(problem, steps)  # every horizon step by default, so the lifted blocks stay
 
 
-def solver_for(system, free_idx):
-    layout = system.layout
-    return _KKTSolver(system.C, layout.n, layout.elim_blocks, layout.block_rows, free_idx)
+def solver_for(system):
+    return _KKTSolver(system.C, system.layout)
+
+
+def check_block_structure(system):
+    """The dense ``C`` against the layout's record of its lifted blocks."""
+    layout, c = system.layout, system.C.toarray()
+    blocks = np.array(layout.elim_blocks)                 # (B, d)
+    rows = np.array(layout.block_rows)                    # (B, d + 1, 2)
+    n_blocks, d = blocks.shape
+    # Block columns: -1 on the aux pair of each variable, +1 on the box pair,
+    # and nothing in any other row, outside the blocks or in another block.
+    expected = np.zeros((c.shape[0], n_blocks, d))
+    b_idx, j_idx = np.arange(n_blocks)[:, np.newaxis, np.newaxis], np.arange(d)[:, np.newaxis]
+    expected[rows[:, :d], b_idx, j_idx] = -1.0
+    expected[rows[:, d, np.newaxis], b_idx, j_idx] = 1.0
+    assert np.array_equal(c[:, blocks.ravel()], expected.reshape(c.shape[0], -1))
+    # Kept columns of row h of pair g of block b: block_coef on block_support.
+    support, coef = layout.block_support, layout.block_coef
+    assert support.shape == (d + 1, coef.shape[-1]) and coef.shape[:3] == (d + 1, 2, n_blocks)
+    assert not np.any(coef.transpose(1, 2, 0, 3)[:, :, support < 0])
+    g, slot = np.nonzero(support >= 0)
+    recorded = np.zeros((d + 1, 2, n_blocks, layout.n))
+    recorded[g, :, :, support[g, slot]] = coef[g, :, :, slot]
+    kept = np.setdiff1d(np.arange(layout.n), blocks)
+    assert np.array_equal(c[rows.transpose(1, 2, 0)][..., kept], recorded[..., kept])
 
 
 class TestStructuredNewtonStep:
@@ -336,12 +356,19 @@ class TestStructuredNewtonStep:
     def test_matches_dense_solve(self):
         self.check_against_dense(self.systems(), np.random.default_rng(3))
 
+    # Per-row cuts: each time step holds a different number of blocks.
+    CUT_CASES = ((3, 5, (2, 6, 4)), (4, 3, (4, 1, 2, 3)), (2, 4, (5, 1)))
+
     def test_matches_dense_solve_with_dropped_blocks(self):
-        # Per-row cuts: each time step holds a different number of blocks.
-        cases = ((3, 5, (2, 6, 4)), (4, 3, (4, 1, 2, 3)), (2, 4, (5, 1)))
-        for system, _ in self.systems(cases):
+        for system, _ in self.systems(self.CUT_CASES):
             assert 0 < len(system.layout.elim_blocks) < system.layout.horizon * system.layout.dim
-        self.check_against_dense(self.systems(cases), np.random.default_rng(5))
+        self.check_against_dense(self.systems(self.CUT_CASES), np.random.default_rng(5))
+
+    def test_layout_records_the_block_structure(self):
+        # The solver reads the block structure from the layout and only the
+        # rows outside the blocks from C; the dense C must agree with it.
+        for system, _ in [*self.systems(), *self.systems(self.CUT_CASES)]:
+            check_block_structure(system)
 
     def check_against_dense(self, systems, rng):
         for system, free in systems:
@@ -351,7 +378,7 @@ class TestStructuredNewtonStep:
             q = rng.standard_normal((free.size, free.size))
             neg_hess = 0.1 * q @ q.T
             rhs = rng.standard_normal(n)
-            delta, dec_sq = solver_for(system, free).step(d_row, neg_hess, rhs, 1e-10)
+            delta, dec_sq = solver_for(system).step(d_row, neg_hess, rhs, 1e-10)
             expected = np.linalg.solve(self.dense_matrix(system, d_row, neg_hess, free), rhs)
             assert np.linalg.norm(delta - expected) <= 1e-10 * np.linalg.norm(expected)
             assert dec_sq == pytest.approx(rhs @ expected, rel=1e-10)
@@ -372,20 +399,9 @@ class TestStructuredNewtonStep:
             h = self.dense_matrix(system, d_row, neg_hess, free)
             assert np.linalg.eigvalsh(h).min() < 0.0
             rhs = rng.standard_normal(n)
-            delta, _ = solver_for(system, free).step(d_row, neg_hess, rhs, reg_floor)
+            delta, _ = solver_for(system).step(d_row, neg_hess, rhs, reg_floor)
             expected = np.linalg.solve(h + reg_floor * (1.0 + peak) * np.eye(n), rhs)
             assert np.linalg.norm(delta - expected) <= 1e-10 * np.linalg.norm(expected)
-
-    def test_rejects_blocks_sharing_a_row(self):
-        system = lifted_system(3, 2, seed=5)
-        layout = system.layout
-        free = np.arange(layout.free.start, layout.free.stop)
-        edited = system.C.tolil()
-        # An aux row of block 0 now also touches a variable of block 1.
-        edited[layout.block_rows[0][0, 0], layout.elim_blocks[1][0]] = -1.0
-        with pytest.raises(ValueError, match="coupled"):
-            _KKTSolver(edited.tocsr(), layout.n, layout.elim_blocks, layout.block_rows, free)
-        solver_for(system, free)  # the unedited system is accepted
 
 
 class TestDenseFactorizationFailure:
@@ -412,7 +428,7 @@ class TestDenseFactorizationFailure:
             return potrf(h, **kwargs)
 
         c = system.C.toarray()
-        kkt = _KKTSolver(c, n, (), (), free)
+        kkt = _KKTSolver(c, system.layout)
         monkeypatch.setattr(solver, "_potrf", counting_potrf, raising=True)
         # reg_floor = 1: the shift is 1 + max diag(C^T C), far below 1e6.
         with pytest.raises(np.linalg.LinAlgError):
@@ -424,10 +440,9 @@ class TestDenseFactorizationFailure:
     def test_maximize_reports_numerical_failure(self):
         problem, system, free = self.dense_system()
         # A convex (not concave) objective makes H = C^T D C - hess_f indefinite.
-        objective = EmbeddedObjective(
-            system.layout.n, free,
-            lambda x: 1e6 * float(x @ x),
-            lambda x: (1e6 * float(x @ x), 2e6 * x, 2e6 * np.eye(x.size)),
+        objective = SimpleNamespace(
+            value=lambda x: 1e6 * float(x @ x),
+            value_grad_hess=lambda x: (1e6 * float(x @ x), 2e6 * x, 2e6 * np.eye(x.size)),
         )
         result = maximize(system, objective, warm_start_point(problem, system))
         assert result.status == NUMERICAL_FAILURE
@@ -445,16 +460,17 @@ class TestStepSlacks:
         system = assemble_utpd(problem) if kind == "utpd" else assemble_sfg(problem)
         layout = system.layout
         assert bool(layout.elim_blocks) == (kind == "utpd")
-        objective = EmbeddedObjective.from_layout(layout, make_objective("lgv", problem.parameterization))
+        objective = make_objective("lgv", problem.parameterization)
         c_op = system.C if layout.elim_blocks else system.C.toarray()
-        kkt = _KKTSolver(c_op, layout.n, layout.elim_blocks, layout.block_rows, objective.free_idx)
+        kkt = _KKTSolver(c_op, layout)
         options = SolverOptions()
         z, _ = phase1_feasible_point(system, warm_start_point(problem, system), options)
         slacks = system.slacks(z)
         lam = options.mu0 / slacks
         for _ in range(10):
-            f_value, grad_free, hess_free = objective.value_grad_hess(z)
-            grad = objective.grad_full(grad_free)
+            f_value, grad_free, hess_free = objective.value_grad_hess(z[layout.free])
+            grad = np.zeros(layout.n)
+            grad[layout.free] = grad_free
             z, slacks, lam = _step(system.b, objective, z, slacks, lam, options.mu0,
                                    f_value, grad, hess_free, options, kkt)
             exact = system.b - system.C @ z
@@ -530,9 +546,7 @@ class TestImpliedHorizon:
         kind = problem.parameterization.kind
         system = assemble_utpd(problem) if kind == "utpd" else assemble_sfg(problem)
         assert system.layout.horizon == problem.horizon
-        objective = EmbeddedObjective.from_layout(
-            system.layout, make_objective(problem.objective, problem.parameterization)
-        )
+        objective = make_objective(problem.objective, problem.parameterization)
         z0, _ = phase1_feasible_point(system, warm_start_point(problem, system))
         if z0 is None:
             return INFEASIBLE, None

@@ -9,8 +9,6 @@ from zonoinv.errors import DimensionError, RankDeficientError
 from zonoinv.zonotope import (
     Box,
     Zonotope,
-    affine_image,
-    contained_in_box,
     interval_hull,
     volume_exact,
 )
@@ -29,19 +27,12 @@ class TestBox:
         with pytest.raises(DimensionError):
             Box(np.array([1.0]), np.array([-1.0]))
 
-    def test_contains(self):
-        box = Box(-np.ones(2), np.ones(2))
-        assert box.contains(np.array([[0.0, 0.0], [1.0, -1.0]]))
-        assert not box.contains(np.array([[1.0001, 0.0]]))
-        assert box.contains(np.array([[1.0001, 0.0]]), tol=1e-3)
-
 
 class TestZonotope:
     def test_construction(self):
         z = Zonotope(np.zeros(2), np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
         assert z.dim == 2
         assert z.n_generators == 3
-        assert z.order == pytest.approx(1.5)
 
     def test_rejects_row_mismatch(self):
         with pytest.raises(DimensionError):
@@ -109,19 +100,13 @@ class TestVolumeExact:
 
 
 class TestAffineImage:
-    def test_linear_map(self):
-        z = Zonotope(np.array([1.0, 0.0]), np.eye(2))
-        m = np.array([[2.0, 0.0], [0.0, 3.0]])
-        img = affine_image(z, m, offset=np.array([0.0, 1.0]))
-        assert np.allclose(img.center, [2.0, 1.0])
-        assert np.allclose(img.generators, m)
-
     def test_volume_scales_by_determinant(self):
+        # The image M Z has generators M G, and its volume is |det M| vol(Z).
         rng = np.random.default_rng(9)
         g = rng.standard_normal((3, 5))
         m = rng.standard_normal((3, 3))
         z = Zonotope(np.zeros(3), g)
-        assert volume_exact(affine_image(z, m)) == pytest.approx(
+        assert volume_exact(Zonotope(np.zeros(3), m @ g)) == pytest.approx(
             abs(np.linalg.det(m)) * volume_exact(z), rel=1e-10
         )
 
@@ -140,13 +125,5 @@ class TestIntervalHull:
         hull = interval_hull(Zonotope(c, g))
         import itertools
         for signs in itertools.product((-1.0, 1.0), repeat=5):
-            assert hull.contains((c + g @ np.array(signs))[np.newaxis, :], tol=1e-12)
-
-
-class TestContainedInBox:
-    def test_tight_fit(self):
-        box = Box(-np.ones(2), np.ones(2))
-        assert contained_in_box(Zonotope(np.zeros(2), 0.5 * np.eye(2)), box)
-        assert contained_in_box(Zonotope(np.zeros(2), np.eye(2)), box)
-        assert not contained_in_box(Zonotope(np.zeros(2), 1.0001 * np.eye(2)), box)
-        assert not contained_in_box(Zonotope(np.array([0.5, 0.0]), np.eye(2)), box)
+            vertex = c + g @ np.array(signs)
+            assert np.all(vertex >= hull.lower - 1e-12) and np.all(vertex <= hull.upper + 1e-12)
