@@ -18,14 +18,14 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import SchemaError
-from .files import _load_json, write_json
+from .files import _load_json, _reject_unknown, write_json
 from .numerics import is_finite_positive
-from .solver import OPTIMAL, SolveResult, SolverOptions, solve_invariance
+from .solver import OPTIMAL, SolverOptions, solve_invariance
 from .sysgen import DEFAULT_DT, DEFAULT_HORIZON, TrialSpec, derive_trial_seed, make_trial
 from .zonotope import Zonotope
 
@@ -122,6 +122,7 @@ class TrialRecord:
 def config_from_dict(raw: dict, context: str = "config") -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise SchemaError(f"{context}: expected a JSON object")
+    _reject_unknown(raw, [f.name for f in fields(ExperimentConfig)], context)
     if "grid" not in raw:
         raise SchemaError(f"{context}: missing required field 'grid'")
     grid_raw = raw["grid"]

@@ -27,7 +27,7 @@ set at ``t >= k_i`` lies in the box as soon as the whole reach set at
 ``t - k_i`` does.  So by induction on t the rows (t, i) with ``t < k_i``
 imply all others (the finite determination of maximal output admissible
 sets, Gilbert & Tan, IEEE TAC 36(9), 1991, applied per row).
-:func:`implied_steps` finds the k_i and :func:`assemble` builds only the
+:func:`presolve` finds the k_i and :func:`assemble` builds only the
 rows it keeps; the feasible set in ``(c, gamma)`` or ``(c, G)`` is
 unchanged.  Certificates still check every ``t = 0..T``.
 
@@ -55,7 +55,6 @@ __all__ = [
     "VariableLayout",
     "LinearInequalitySystem",
     "presolve",
-    "implied_steps",
     "assemble",
     "assemble_sfg",
     "assemble_utpd",
@@ -131,7 +130,7 @@ class VariableLayout:
     rows ``M_t[i, :]`` for t >= 1).  ``row_steps[i]`` is the number of time
     steps t = 0, 1, ... whose rows for state row i are in the system: T + 1
     for :func:`assemble_sfg` and :func:`assemble_utpd` by default,
-    :func:`implied_steps` for :func:`assemble`.  ``horizon``, the last time
+    :func:`presolve` for :func:`assemble`.  ``horizon``, the last time
     step with any row, is ``max(row_steps) - 1``.
 
     ``elim_blocks`` lists, for the Newton solver, one group of lifted
@@ -254,9 +253,12 @@ def _row_steps(problem: InvarianceProblem, steps) -> np.ndarray:
 def presolve(
     problem: InvarianceProblem, powers: np.ndarray | None = None
 ) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """The reach-set presolve of a solve: the row steps of
-    :func:`implied_steps`, and the first (t, i) at which the center of every
-    candidate zonotope has left the box, or None.
+    """The reach-set presolve of a solve: the row steps k_i, and the first
+    (t, i) at which the center of every candidate zonotope has left the box,
+    or None.  k_i is the number of time steps whose rows of state row i are
+    kept: the smallest k >= 1 such that row i of the box maps into itself in
+    k steps, or T + 1 when no k <= T qualifies.  The rows (t, i) with
+    ``t < k_i`` imply those of every t <= T (see the module docstring).
 
     Let m and h be the box midpoint and half-widths, ``off(k) = A^k m +
     drift(k) - m`` and ``spread(k) = |A^k| h``.  From a center in the box,
@@ -284,27 +286,16 @@ def presolve(
     return np.argmax(fits, axis=0) + 1, exit_row
 
 
-def implied_steps(problem: InvarianceProblem, powers: np.ndarray | None = None) -> np.ndarray:
-    """Per state row i, the number k_i of time steps whose rows are kept.
-
-    k_i is the smallest k >= 1 such that row i of the box maps into itself
-    in k steps (see :func:`presolve`), or T + 1 when no k <= T qualifies;
-    the rows (t, i) with ``t < k_i`` imply those of every t <= T (see the
-    module docstring).  ``powers``, when given, is ``power_chain(A, T)``.
-    """
-    return presolve(problem, powers)[0]
-
-
 def assemble(
     problem: InvarianceProblem, powers: np.ndarray | None = None, steps=None
 ) -> LinearInequalitySystem:
     """Assemble the constraint system for either parameterization over the
-    rows that :func:`implied_steps` keeps; its layout records them.  The
-    system has the same feasible set as the one over every t <= T.
-    ``powers``, when given, is ``power_chain(A, T)``, and ``steps``, when
-    given, the row steps of :func:`implied_steps`."""
+    rows that the row steps of :func:`presolve` keep; its layout records
+    them.  The system has the same feasible set as the one over every
+    t <= T.  ``powers``, when given, is ``power_chain(A, T)``, and
+    ``steps``, when given, the row steps of :func:`presolve`."""
     powers = power_chain(problem.system.A, problem.horizon) if powers is None else powers
-    steps = implied_steps(problem, powers) if steps is None else steps
+    steps = presolve(problem, powers)[0] if steps is None else steps
     if problem.parameterization.kind == "sfg":
         return assemble_sfg(problem, steps, powers)
     if problem.parameterization.kind == "utpd":

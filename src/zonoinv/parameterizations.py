@@ -139,6 +139,10 @@ class SfgParameterization:
     def volume(self, gamma) -> float:
         return sfg_volume(self, gamma)
 
+    def log_volume_value(self, gamma) -> float:
+        """Log volume without derivatives."""
+        return _log_of_volume(sfg_volume(self, gamma))
+
     def log_volume(self, gamma):
         """Log volume with gradient and Hessian in the scales."""
         return sfg_log_volume_grad_hess(self, gamma)
@@ -148,11 +152,24 @@ class SfgParameterization:
         return np.full(self.n_free, 10.0 * self.scale_floor)
 
 
+def _sfg_terms(parameterization: SfgParameterization, gamma: np.ndarray):
+    """Per-subset factors ``gamma[J]`` and volume terms ``w_J prod_{i in J}
+    gamma_i`` of validated scales; the volume is the sum of the terms."""
+    w = parameterization.weights
+    factors = gamma[w.subsets]                # (C, d)
+    return factors, w.weights * np.prod(factors, axis=1)
+
+
+def _log_of_volume(volume: float) -> float:
+    if volume <= 0.0:
+        raise DomainError("volume is not positive at this point")
+    return float(np.log(volume))
+
+
 def sfg_volume(parameterization: SfgParameterization, gamma) -> float:
     """Volume of the scaled template: ``sum_J w_J prod_{i in J} gamma_i``."""
-    gamma = parameterization.validate_free(gamma)
-    w = parameterization.weights
-    return float(np.dot(w.weights, np.prod(gamma[w.subsets], axis=1)))
+    _, terms = _sfg_terms(parameterization, parameterization.validate_free(gamma))
+    return float(np.sum(terms))
 
 
 def sfg_log_volume_grad_hess(parameterization: SfgParameterization, gamma):
@@ -167,14 +184,9 @@ def sfg_log_volume_grad_hess(parameterization: SfgParameterization, gamma):
     and the log transform gives ``H = HV/V - outer(g, g)`` with
     ``g = dV/V``.  One pass over the weight table.
     """
-    gamma = parameterization.validate_free(gamma)
-    w = parameterization.weights
-    subsets = w.subsets                       # (C, d)
-    factors = gamma[subsets]                  # (C, d)
-    terms = w.weights * np.prod(factors, axis=1)   # (C,)
+    factors, terms = _sfg_terms(parameterization, parameterization.validate_free(gamma))
     volume = float(np.sum(terms))
-    if volume <= 0.0:
-        raise DomainError("volume is not positive at this point")
+    value = _log_of_volume(volume)
 
     p = parameterization.n_free
     grad_v = np.zeros(p)
@@ -182,7 +194,7 @@ def sfg_log_volume_grad_hess(parameterization: SfgParameterization, gamma):
     # Accumulate the derivative of every subset term individually; the cost is
     # one small dense update per term, so it scales with the C(p, d) term
     # count exactly like the volume formula itself.
-    for idx, term, row in zip(subsets, terms, factors):
+    for idx, term, row in zip(parameterization.weights.subsets, terms, factors):
         per = term / row                      # dT/dgamma_k for k in the subset
         grad_v[idx] += per
         block = per[:, np.newaxis] / row[np.newaxis, :]
@@ -191,7 +203,7 @@ def sfg_log_volume_grad_hess(parameterization: SfgParameterization, gamma):
 
     grad = grad_v / volume
     hess = hess_v / volume - np.outer(grad, grad)
-    return float(np.log(volume)), grad, hess
+    return value, grad, hess
 
 
 @dataclass(frozen=True)
@@ -261,24 +273,24 @@ class UtpdParameterization:
         return self.unpack(self.validate_free(free))
 
     def volume(self, free) -> float:
-        return utpd_volume(self.effective_generators(free))
+        """Volume ``2^d * prod_i G[i, i]``."""
+        return float(2.0 ** self.dim * np.prod(self.validate_free(free)[self._diag_pos]))
 
     def log_volume_value(self, free) -> float:
         """Log volume ``d log 2 + sum_i log G[i, i]`` without derivatives."""
-        diag = self.validate_free(free)[self.diag_positions()]
-        return self.dim * np.log(2.0) + float(np.sum(np.log(diag)))
+        return self._log_volume(self.validate_free(free)[self._diag_pos])
 
     def log_volume(self, free):
         """Log volume with gradient and Hessian in the packed entries."""
-        free = self.validate_free(free)
-        diag_pos = self.diag_positions()
-        diag = free[diag_pos]
-        value = self.log_volume_value(free)
+        diag = self.validate_free(free)[self._diag_pos]
         grad = np.zeros(self.n_free)
-        grad[diag_pos] = 1.0 / diag
+        grad[self._diag_pos] = 1.0 / diag
         hess = np.zeros((self.n_free, self.n_free))
-        hess[diag_pos, diag_pos] = -1.0 / diag**2
-        return value, grad, hess
+        hess[self._diag_pos, self._diag_pos] = -1.0 / diag**2
+        return self._log_volume(diag), grad, hess
+
+    def _log_volume(self, diag: np.ndarray) -> float:
+        return self.dim * np.log(2.0) + float(np.sum(np.log(diag)))
 
     def initial_free(self) -> np.ndarray:
         """A strictly feasible default: ``10 * diag_floor`` times the identity."""
@@ -291,68 +303,51 @@ def utpd_volume(generators) -> float:
     Requires ``G`` square upper triangular with strictly positive diagonal.
     """
     g = as_matrix(generators, name="generators")
-    d = g.shape[0]
-    if g.shape[1] != d:
-        raise DimensionError(f"generator matrix must be square, got {g.shape}")
-    if np.any(np.tril(g, k=-1) != 0.0):
-        raise DimensionError("generator matrix has nonzero entries below the diagonal")
-    diag = np.diag(g)
-    if np.any(diag <= 0.0):
-        raise DomainError("diagonal entries must be strictly positive")
-    return float(2.0 ** d * np.prod(diag))
+    param = UtpdParameterization(g.shape[0])
+    return param.volume(param.pack(g))
 
 
 @dataclass(frozen=True)
 class Objective:
-    """Concave objective over the free variables of a parameterization."""
+    """Concave objective over the free variables of a parameterization.
+
+    It owns the kind/parameterization pairing: construction raises
+    :class:`UnsupportedError` for a kind outside ``OBJECTIVE_TOKENS`` and for
+    the scale heuristics (``ss``, ``slgs``) on anything but the
+    scaled-template family; ``lgv`` works for both.
+    """
 
     kind: str
     parameterization: SfgParameterization | UtpdParameterization
 
-    @property
-    def n_free(self) -> int:
-        return self.parameterization.n_free
+    def __post_init__(self):
+        if self.kind not in OBJECTIVE_TOKENS:
+            raise UnsupportedError(f"unknown objective kind {self.kind!r}; expected one of {OBJECTIVE_TOKENS}")
+        if self.kind != "lgv" and self.parameterization.kind != "sfg":
+            raise UnsupportedError(f"objective {self.kind!r} requires the scaled-template parameterization")
 
     def value(self, free) -> float:
         """Objective value only (cheaper than :meth:`value_grad_hess`)."""
-        param = self.parameterization
         if self.kind == "lgv":
-            if param.kind == "sfg":
-                volume = sfg_volume(param, free)
-                if volume <= 0.0:
-                    raise DomainError("volume is not positive at this point")
-                return float(np.log(volume))
-            return param.log_volume_value(free)
-        gamma = param.validate_free(free)
-        if self.kind == "ss":
-            return float(np.sum(gamma))
-        if self.kind == "slgs":
-            return float(np.sum(np.log(gamma)))
-        raise UnsupportedError(f"unknown objective kind {self.kind!r}")
+            return self.parameterization.log_volume_value(free)
+        return self._scale_value(self.parameterization.validate_free(free))
 
     def value_grad_hess(self, free):
         """Objective value, gradient and dense Hessian over the free variables."""
-        param = self.parameterization
         if self.kind == "lgv":
-            return param.log_volume(free)
-        gamma = param.validate_free(free)
+            return self.parameterization.log_volume(free)
+        gamma = self.parameterization.validate_free(free)
         if self.kind == "ss":
-            return float(np.sum(gamma)), np.ones_like(gamma), np.zeros((gamma.size, gamma.size))
-        if self.kind == "slgs":
-            hess = np.zeros((gamma.size, gamma.size))
-            np.fill_diagonal(hess, -1.0 / gamma**2)
-            return float(np.sum(np.log(gamma))), 1.0 / gamma, hess
-        raise UnsupportedError(f"unknown objective kind {self.kind!r}")
+            grad, curvature = np.ones_like(gamma), np.zeros_like(gamma)
+        else:
+            grad, curvature = 1.0 / gamma, -1.0 / gamma**2
+        return self._scale_value(gamma), grad, np.diag(curvature)
+
+    def _scale_value(self, gamma: np.ndarray) -> float:
+        """``ss`` is the sum of the scales, ``slgs`` the sum of their logs."""
+        return float(np.sum(gamma if self.kind == "ss" else np.log(gamma)))
 
 
 def make_objective(kind: str, parameterization) -> Objective:
-    """Build an objective, checking the kind/parameterization pairing.
-
-    The scale heuristics (``ss``, ``slgs``) are defined only for the
-    scaled-template family; ``lgv`` works for both.
-    """
-    if kind not in OBJECTIVE_TOKENS:
-        raise UnsupportedError(f"unknown objective kind {kind!r}; expected one of {OBJECTIVE_TOKENS}")
-    if kind in ("ss", "slgs") and parameterization.kind != "sfg":
-        raise UnsupportedError(f"objective {kind!r} requires the scaled-template parameterization")
+    """Build an objective; :class:`Objective` checks the pairing."""
     return Objective(kind=kind, parameterization=parameterization)

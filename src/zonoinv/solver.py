@@ -155,7 +155,7 @@ class SolveResult:
     each barrier stage, one entry per barrier weight, the last at the final
     iterate; it is nondecreasing up to round-off.  ``horizon_solved`` is the
     last time step with rows in the assembled system (``max k_i - 1`` for
-    the per-row step counts of :func:`~zonoinv.invariance.implied_steps`),
+    the per-row step counts of :func:`~zonoinv.invariance.presolve`),
     set by :func:`solve_invariance`.  ``message`` says why a solve is not
     ``optimal``.  For ``infeasible`` it is ``"no strictly feasible point: "``
     and the reason: the row i and time step k at which the presolve shows
@@ -590,7 +590,7 @@ def solve_invariance(problem: InvarianceProblem, options: SolverOptions | None =
     center of every candidate zonotope must leave the box, the solve is
     ``infeasible`` after zero Newton steps (see the module docstring).
     Otherwise the system holds only the rows that no earlier row implies
-    (see :func:`~zonoinv.invariance.implied_steps`); its last time step is
+    (the row steps of the presolve); its last time step is
     recorded in ``horizon_solved``, and the certificate checks every step of
     ``problem.horizon``.  One power chain of ``A`` serves the presolve,
     assembly and the warm start.  The reported wall time covers phase 1 and

@@ -12,7 +12,6 @@ from zonoinv.errors import SchemaError
 from zonoinv.experiment import (
     CSV_COLUMNS,
     METHODS,
-    ExperimentConfig,
     GridRow,
     TrialRecord,
     aggregate,
@@ -20,7 +19,6 @@ from zonoinv.experiment import (
     config_from_dict,
     load_config,
     parse_method,
-    render_tables,
     run_experiment,
     write_outputs,
 )
@@ -73,6 +71,12 @@ class TestConfigParsing:
         assert config.output_dir == "runs/x"
         assert config.options().gap_tol == 1e-9
         assert config.options().time_limit == 30.0
+
+    def test_unknown_fields_rejected(self):
+        # Misspelt, "methods" would run every method and "horizon" T = 30.
+        for key, value in [("method", ["sfg+ss"]), ("horizn", 5)]:
+            with pytest.raises(SchemaError, match=rf"^config: unknown field\(s\) \['{key}'\]$"):
+                config_from_dict({"grid": [[2, 3, 1]], "master_seed": 1, key: value})
 
     def test_boolean_time_limit_rejected(self):
         # JSON true is not a one-second budget.

@@ -116,6 +116,26 @@ class TestProblemRoundTrip:
 
 
 class TestProblemSchemaErrors:
+    def test_unknown_fields_rejected(self):
+        # A misspelt optional field would otherwise take its default.
+        cases = [
+            ("sfg", (), "seeed"),
+            ("sfg", ("box",), "lowr"),
+            ("sfg", ("parameterization",), "scale_flor"),
+            ("utpd", ("parameterization",), "scale_floor"),
+        ]
+        for kind, path, key in cases:
+            raw = problem_to_dict(sample_problem(kind))
+            target = raw
+            for step in path:
+                target = target[step]
+            target[key] = 1e-3
+            context = ".".join(("problem",) + path)
+            with pytest.raises(SchemaError, match=rf"^{context}: unknown field\(s\) \['{key}'\]$"):
+                problem_from_dict(raw)
+        with pytest.raises(SchemaError, match=r"^zonotope: unknown field\(s\) \['centre'\]$"):
+            zonotope_from_dict({"center": [0.0], "centre": [1.0], "generators": [[1.0]]})
+
     def test_missing_fields_named(self):
         for field in ("A", "box", "T", "parameterization", "objective"):
             raw = sample_dict()

@@ -14,7 +14,7 @@ from zonoinv.invariance import (
     assemble_utpd,
     certificate_violation,
     check_invariance_certificate,
-    implied_steps,
+    presolve,
     warm_start_point,
 )
 from zonoinv.numerics import power_chain
@@ -319,15 +319,15 @@ class TestImpliedHorizon:
 
     def test_hand_values(self):
         # 0.5 I maps the box into itself in one step: only t = 0 is kept.
-        assert implied_steps(self.problem(0.5 * np.eye(2), np.zeros(2), unit_box(2), 30)).tolist() == [1, 1]
+        assert presolve(self.problem(0.5 * np.eye(2), np.zeros(2), unit_box(2), 30))[0].tolist() == [1, 1]
         # Row 1 of A = [[0, 2], [0.1, 0]] maps into the box in one step, row 0
         # only in two (A^2 = 0.2 I): row 0 keeps t = 0 and t = 1.
-        assert implied_steps(self.problem([[0.0, 2.0], [0.1, 0.0]], np.zeros(2), unit_box(2), 30)).tolist() == [2, 1]
+        assert presolve(self.problem([[0.0, 2.0], [0.1, 0.0]], np.zeros(2), unit_box(2), 30))[0].tolist() == [2, 1]
         # The identity with a drift never maps [0, 1] into itself.
-        assert implied_steps(self.problem([[1.0]], [0.02], Box([0.0], [1.0]), 30)).tolist() == [31]
-        assert implied_steps(self.problem(0.5 * np.eye(2), np.zeros(2), unit_box(2), 0)).tolist() == [1, 1]
+        assert presolve(self.problem([[1.0]], [0.02], Box([0.0], [1.0]), 30))[0].tolist() == [31]
+        assert presolve(self.problem(0.5 * np.eye(2), np.zeros(2), unit_box(2), 0))[0].tolist() == [1, 1]
         # diag(0.5, 1) with a drift on row 1: row 0 keeps t = 0 only, row 1 every t.
-        steps = implied_steps(self.problem(np.diag([0.5, 1.0]), [0.0, 0.02], unit_box(2), 30))
+        steps = presolve(self.problem(np.diag([0.5, 1.0]), [0.0, 0.02], unit_box(2), 30))[0]
         assert steps.tolist() == [1, 31]
 
     def test_unit_free(self):
@@ -337,7 +337,7 @@ class TestImpliedHorizon:
             a = random_stable_system(rng, 3).A
             mid = rng.uniform(-2.0, 2.0, 3)
             values = {
-                tuple(implied_steps(self.problem(a, (np.eye(3) - a) @ mid, Box(mid - s, mid + s), 30)).tolist())
+                tuple(presolve(self.problem(a, (np.eye(3) - a) @ mid, Box(mid - s, mid + s), 30))[0].tolist())
                 for s in (1e-6, 1.0, 1e6)
             }
             assert len(values) == 1

@@ -9,6 +9,7 @@ import pytest
 from zonoinv.errors import DimensionError, DomainError, RankDeficientError, UnsupportedError
 from zonoinv.parameterizations import (
     OBJECTIVE_TOKENS,
+    Objective,
     SfgParameterization,
     UtpdParameterization,
     make_objective,
@@ -221,6 +222,14 @@ class TestObjectives:
         with pytest.raises(UnsupportedError):
             make_objective("nope", sfg)
 
+    def test_objective_checks_its_own_pairing(self):
+        # A bad pairing fails at construction, not later as a NaN value.
+        sfg = SfgParameterization(np.eye(2))
+        utpd = UtpdParameterization(2)
+        for kind, param in [("slgs", utpd), ("ss", utpd), ("bogus", sfg)]:
+            with pytest.raises(UnsupportedError):
+                Objective(kind, param)
+
     def test_values(self):
         sfg = SfgParameterization(np.eye(2))
         gamma = np.array([2.0, 3.0])
@@ -232,17 +241,15 @@ class TestObjectives:
         from zonoinv.oracle import finite_diff_gradient, finite_diff_hessian
 
         rng = np.random.default_rng(53)
-        sfg = SfgParameterization(random_full_rank_template(rng, 3, 6))
         utpd = UtpdParameterization(3)
-        cases = [
-            (make_objective("ss", sfg), rng.uniform(0.5, 2.0, 6)),
-            (make_objective("slgs", sfg), rng.uniform(0.5, 2.0, 6)),
-            (make_objective("lgv", sfg), rng.uniform(0.5, 2.0, 6)),
-            (make_objective("lgv", utpd), utpd.pack(random_utpd_matrix(rng, 3))),
-        ]
+        cases = [(make_objective("lgv", utpd), utpd.pack(random_utpd_matrix(rng, 3)))]
+        for p in (6, 8):
+            sfg = SfgParameterization(random_full_rank_template(rng, 3, p))
+            cases += [(make_objective(token, sfg), rng.uniform(0.5, 2.0, p)) for token in OBJECTIVE_TOKENS]
         for objective, x in cases:
             value, grad, hess = objective.value_grad_hess(x)
-            assert value == pytest.approx(objective.value(x), rel=1e-12)
+            # Exact: the line search compares values from both methods.
+            assert value == objective.value(x)
             fd_grad = finite_diff_gradient(objective.value, x)
             fd_hess = finite_diff_hessian(objective.value, x)
             assert np.allclose(grad, fd_grad, rtol=1e-6, atol=1e-7)

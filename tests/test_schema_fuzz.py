@@ -68,11 +68,13 @@ def experiment_config():
 
 
 def paths(raw, prefix=()):
-    """Every key path of a nested dict, parents before children."""
+    """Every key path of a nested dict, parents before children, and in each
+    object one key that no format defines."""
     for key, value in raw.items():
         yield prefix + (key,)
         if isinstance(value, dict):
             yield from paths(value, prefix + (key,))
+    yield prefix + ("extra",)
 
 
 def mutated(raw, path, value):
@@ -81,7 +83,7 @@ def mutated(raw, path, value):
     for key in path[:-1]:
         parent = parent[key]
     if value is DELETE:
-        del parent[path[-1]]
+        parent.pop(path[-1], None)
     else:
         parent[path[-1]] = value
     return out

@@ -36,7 +36,7 @@ from zonoinv.solver import (
     solve_invariance,
 )
 from zonoinv.sysgen import TrialSpec, make_trial
-from zonoinv.zonotope import Box, Zonotope, volume_exact
+from zonoinv.zonotope import Box, volume_exact
 
 
 def unit_box(d):

@@ -1,7 +1,5 @@
 """Zonotope and box primitives: construction, exact volume, images, hulls."""
 
-import math
-
 import numpy as np
 import pytest
 
