@@ -31,7 +31,7 @@ from .files import (
     result_to_dict,
     write_json,
 )
-from .invariance import certificate_violation
+from .invariance import CERTIFICATE_TOL, certificate_violation
 from .numerics import is_finite_positive
 from .oracle import mc_volume, simulate_invariance
 from .solver import INFEASIBLE, OPTIMAL, SolverOptions, solve_invariance
@@ -162,7 +162,7 @@ def _cmd_check(args) -> int:
     problem, _, _ = load_problem(args.problem)
     zonotope = load_solution_zonotope(args.solution)
     cert_violation = certificate_violation(problem.system, problem.box, problem.horizon, zonotope)
-    certificate_ok = cert_violation <= 1e-9
+    certificate_ok = cert_violation <= CERTIFICATE_TOL
     violation, t_step, coord = simulate_invariance(
         problem.system, problem.box, problem.horizon, zonotope
     )

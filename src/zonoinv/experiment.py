@@ -23,8 +23,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import SchemaError
-from .files import _load_json, _reject_unknown, write_json
-from .numerics import is_finite_positive
+from .files import _from_fields, _load_json, write_json
+from .numerics import is_finite_positive, is_integer
 from .solver import OPTIMAL, SolverOptions, solve_invariance
 from .sysgen import DEFAULT_DT, DEFAULT_HORIZON, TrialSpec, derive_trial_seed, make_trial
 from .zonotope import Zonotope
@@ -47,20 +47,6 @@ __all__ = [
 
 METHODS = ("sfg+ss", "sfg+slgs", "sfg+lgv", "utpd+lgv")
 
-CSV_COLUMNS = (
-    "dim",
-    "n_generators",
-    "method",
-    "trial",
-    "seed",
-    "status",
-    "volume",
-    "objective_value",
-    "iterations",
-    "wall_time",
-    "certificate_ok",
-)
-
 
 def parse_method(token: str) -> tuple[str, str]:
     """Split a method token like ``"sfg+lgv"`` into (parameterization kind,
@@ -73,21 +59,50 @@ def parse_method(token: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class GridRow:
+    """A grid cell, checked as its trials' :class:`TrialSpec` checks it, and its trial count."""
+
     dim: int
     n_generators: int
     trials: int
 
+    def __post_init__(self):
+        TrialSpec(self.dim, self.n_generators, 0, 0)
+        if not is_integer(self.trials) or self.trials < 1:
+            raise SchemaError(f"trials must be an integer >= 1, got {self.trials!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A benchmark grid and how to run it; construction checks every field.
+
+    ``master_seed``, ``dt`` and ``horizon`` are checked as each trial's
+    :class:`TrialSpec` checks them, ``solver_options`` as the
+    :class:`SolverOptions` it becomes.  Each message starts with the field's name.
+    """
+
     grid: tuple[GridRow, ...]
-    methods: tuple[str, ...]
     master_seed: int
+    methods: tuple[str, ...] = METHODS
     dt: float = DEFAULT_DT
     horizon: int = DEFAULT_HORIZON
     time_limit: float | None = None
     output_dir: str | None = None
     solver_options: tuple = ()
+
+    def __post_init__(self):
+        if not self.grid:
+            raise SchemaError("grid must hold at least one [dim, n_generators, trials] row")
+        if not self.methods or any(token not in METHODS for token in self.methods):
+            raise SchemaError(f"methods must be a nonempty list of {list(METHODS)}, got {list(self.methods)!r}")
+        TrialSpec(1, 1, 0, self.master_seed, dt=self.dt, horizon=self.horizon)
+        if self.time_limit is not None and not is_finite_positive(self.time_limit):
+            raise SchemaError(f"time_limit must be a finite positive number or null, got {self.time_limit!r}")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise SchemaError(f"output_dir must be a string, got {self.output_dir!r}")
+        try:
+            self.options()
+        except SchemaError as exc:  # "options.<field> ..." from SolverOptions
+            raise SchemaError(f"solver_{exc}") from exc
 
     def options(self) -> SolverOptions:
         raw = dict(self.solver_options)
@@ -98,7 +113,7 @@ class ExperimentConfig:
 
 @dataclass
 class TrialRecord:
-    """One solved trial.
+    """One solved trial; the defaults are those of an ``error`` row.
 
     ``zonotope`` and ``error`` (the ``repr`` of the exception on ``error``
     rows) are carried in memory only, not in the CSV.
@@ -109,83 +124,46 @@ class TrialRecord:
     method: str
     trial: int
     seed: int
-    status: str
-    volume: float | None
-    objective_value: float | None
-    iterations: int
-    wall_time: float
-    certificate_ok: bool | None
+    status: str = "error"
+    volume: float | None = None
+    objective_value: float | None = None
+    iterations: int = 0
+    wall_time: float = 0.0
+    certificate_ok: bool | None = None
     zonotope: Zonotope | None = None
     error: str | None = None
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name not in ("zonotope", "error"))
+# The fields a record copies from its SolveResult.
+_RESULT_FIELDS = ("status", "volume", "objective_value", "iterations", "wall_time", "certificate_ok", "zonotope")
+
+
 def config_from_dict(raw: dict, context: str = "config") -> ExperimentConfig:
+    """Map a config object onto :class:`ExperimentConfig`, which checks it:
+    grid rows become :class:`GridRow`s and ``solver_options`` sorted items."""
     if not isinstance(raw, dict):
         raise SchemaError(f"{context}: expected a JSON object")
-    _reject_unknown(raw, [f.name for f in fields(ExperimentConfig)], context)
-    if "grid" not in raw:
-        raise SchemaError(f"{context}: missing required field 'grid'")
-    grid_raw = raw["grid"]
-    if not isinstance(grid_raw, list) or not grid_raw:
-        raise SchemaError(f"{context}.grid: expected a nonempty list of [dim, n_generators, trials] rows")
-    rows = []
-    for i, entry in enumerate(grid_raw):
-        if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(v, int) and not isinstance(v, bool) for v in entry)):
-            raise SchemaError(f"{context}.grid[{i}]: expected three integers [dim, n_generators, trials]")
-        d, p, trials = entry
-        if d < 1 or p < d:
-            raise SchemaError(f"{context}.grid[{i}]: need dim >= 1 and n_generators >= dim, got ({d}, {p})")
-        if trials < 1:
-            raise SchemaError(f"{context}.grid[{i}]: trials must be >= 1, got {trials}")
-        rows.append(GridRow(d, p, trials))
+    values = dict(raw)
+    if "grid" in raw:
+        if not isinstance(raw["grid"], list):
+            raise SchemaError(f"{context}.grid: expected a list of [dim, n_generators, trials] rows")
+        values["grid"] = tuple(_grid_row(entry, f"{context}.grid[{i}]") for i, entry in enumerate(raw["grid"]))
+    if "methods" in raw:
+        if not isinstance(raw["methods"], list):
+            raise SchemaError(f"{context}.methods: expected a list")
+        values["methods"] = tuple(raw["methods"])
+    if "solver_options" in raw:
+        if not isinstance(raw["solver_options"], dict):
+            raise SchemaError(f"{context}.solver_options: expected an object")
+        values["solver_options"] = tuple(sorted(raw["solver_options"].items()))
+    return _from_fields(ExperimentConfig, values, context)
 
-    methods_raw = raw.get("methods", list(METHODS))
-    if not isinstance(methods_raw, list) or not methods_raw:
-        raise SchemaError(f"{context}.methods: expected a nonempty list")
-    for i, token in enumerate(methods_raw):
-        if token not in METHODS:
-            raise SchemaError(f"{context}.methods[{i}]: expected one of {list(METHODS)}, got {token!r}")
 
-    if "master_seed" not in raw:
-        raise SchemaError(f"{context}: missing required field 'master_seed'")
-    master_seed = raw["master_seed"]
-    if not isinstance(master_seed, int) or isinstance(master_seed, bool):
-        raise SchemaError(f"{context}.master_seed: expected an integer")
-
-    dt = raw.get("dt", DEFAULT_DT)
-    horizon = raw.get("horizon", DEFAULT_HORIZON)
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
-        raise SchemaError(f"{context}.horizon: expected a nonnegative integer")
-    if not is_finite_positive(dt):
-        raise SchemaError(f"{context}.dt: expected a finite positive number")
-
-    time_limit = raw.get("time_limit")
-    if time_limit is not None and not is_finite_positive(time_limit):
-        raise SchemaError(f"{context}.time_limit: expected a finite positive number or null")
-
-    output_dir = raw.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise SchemaError(f"{context}.output_dir: expected a string")
-
-    solver_options = raw.get("solver_options", {})
-    if not isinstance(solver_options, dict):
-        raise SchemaError(f"{context}.solver_options: expected an object")
-
-    config = ExperimentConfig(
-        grid=tuple(rows),
-        methods=tuple(methods_raw),
-        master_seed=master_seed,
-        dt=float(dt),
-        horizon=horizon,
-        time_limit=None if time_limit is None else float(time_limit),
-        output_dir=output_dir,
-        solver_options=tuple(sorted(solver_options.items())),
-    )
-    try:
-        config.options()  # validate solver options eagerly
-    except SchemaError as exc:  # "options.<field> ..." from SolverOptions
-        raise SchemaError(f"{context}.solver_{exc}") from exc
-    return config
+def _grid_row(entry, context: str) -> GridRow:
+    if not isinstance(entry, list) or len(entry) != 3:
+        raise SchemaError(f"{context}: expected [dim, n_generators, trials]")
+    return _from_fields(GridRow, dict(zip((f.name for f in fields(GridRow)), entry)), context)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -198,23 +176,14 @@ def _run_one(task) -> TrialRecord:
     kind, objective = parse_method(method)
     spec = TrialSpec(row.dim, row.n_generators, trial, config.master_seed,
                      dt=config.dt, horizon=config.horizon)
-    seed = derive_trial_seed(config.master_seed, row.dim, row.n_generators, trial)
     try:
-        problem = make_trial(spec, kind, objective)
-        result = solve_invariance(problem, config.options())
+        result = solve_invariance(make_trial(spec, kind, objective), config.options())
     except Exception as exc:  # record the failure, never abort the batch
-        return TrialRecord(
-            dim=row.dim, n_generators=row.n_generators, method=method, trial=trial,
-            seed=seed, status="error", volume=None, objective_value=None,
-            iterations=0, wall_time=0.0, certificate_ok=None, error=repr(exc),
-        )
-    return TrialRecord(
-        dim=row.dim, n_generators=row.n_generators, method=method, trial=trial,
-        seed=seed, status=result.status,
-        volume=result.volume, objective_value=result.objective_value,
-        iterations=result.iterations, wall_time=result.wall_time,
-        certificate_ok=result.certificate_ok, zonotope=result.zonotope,
-    )
+        outcome = {"error": repr(exc)}
+    else:
+        outcome = {name: getattr(result, name) for name in _RESULT_FIELDS}
+    seed = derive_trial_seed(config.master_seed, row.dim, row.n_generators, trial)
+    return TrialRecord(row.dim, row.n_generators, method, trial, seed, **outcome)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1, log=None) -> list[TrialRecord]:

@@ -2,20 +2,27 @@
 
 One problem file fully determines a solve: dynamics, box, horizon,
 parameterization, objective, solver options, and an optional seed recording
-where a generated instance came from.  All parsing errors raise
-:class:`~zonoinv.errors.SchemaError` naming the offending field.
+where a generated instance came from.
+
+Each JSON object is read and written from the dataclass it becomes: its keys
+are the init fields, required unless the dataclass gives a default.  The
+dataclasses check every value, each message starting with the field's name,
+so every parsing error is a :class:`~zonoinv.errors.SchemaError` naming the
+field's path.  Only the format's own rules are checked here: the horizon
+``T``, a box with ``lower`` strictly below ``upper``, template rows
+matching ``A``, the objective pairing and the integer ``seed``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
-from .errors import SchemaError, UnsupportedError
+from .errors import SchemaError, UnsupportedError, ZonoinvError
 from .invariance import AffineSystem, InvarianceProblem
-from .numerics import MAX_CHAIN_ENTRIES, is_finite_positive
+from .numerics import MAX_CHAIN_ENTRIES, is_integer
 from .parameterizations import SfgParameterization, UtpdParameterization, make_objective
 from .solver import SolveResult, SolverOptions
 from .zonotope import Box, Zonotope
@@ -32,6 +39,9 @@ __all__ = [
     "load_solution_zonotope",
     "write_json",
 ]
+
+# The problem object's own required keys, beside the AffineSystem fields.
+_PROBLEM_KEYS = ("box", "T", "parameterization", "objective")
 
 
 def write_json(path, payload: dict) -> None:
@@ -51,32 +61,39 @@ def _load_json(path) -> dict:
     return raw
 
 
-def _require(raw: dict, key: str, context: str):
-    if key not in raw:
-        raise SchemaError(f"{context}: missing required field {key!r}")
-    return raw[key]
-
-
 def _reject_unknown(raw: dict, known, context: str) -> None:
     unknown = set(raw) - set(known)
     if unknown:
         raise SchemaError(f"{context}: unknown field(s) {sorted(unknown)}")
 
 
-def _as_float_array(value, context: str) -> np.ndarray:
+def _file_fields(cls, skip=()) -> list:
+    """The init fields of dataclass ``cls`` apart from those named in ``skip``."""
+    return [f for f in fields(cls) if f.init and f.name not in skip]
+
+
+def _from_fields(cls, raw, context: str, **given):
+    """Build ``cls`` from the JSON object ``raw``, whose keys are the init
+    fields of ``cls`` apart from those ``given`` by the caller.  A failed
+    check of the dataclass becomes ``SchemaError("<context>.<field> ...")``.
+    """
+    file_fields = _file_fields(cls, given)
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{context}: expected an object with fields {[f.name for f in file_fields]}")
+    _reject_unknown(raw, [f.name for f in file_fields], context)
+    for f in file_fields:
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise SchemaError(f"{context}: missing required field {f.name!r}")
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{context}: expected numeric array, got {value!r}") from exc
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(f"{context}: values must be finite")
-    return arr
+        return cls(**raw, **given)
+    except ZonoinvError as exc:
+        raise SchemaError(f"{context}.{exc}") from exc
 
 
-def _positive_real(value, context: str) -> float:
-    if not is_finite_positive(value):
-        raise SchemaError(f"{context}: expected a finite positive number, got {value!r}")
-    return float(value)
+def _to_fields(obj, skip=()) -> dict:
+    """The JSON object of a dataclass: its init fields apart from ``skip``, arrays as lists."""
+    values = {f.name: getattr(obj, f.name) for f in _file_fields(type(obj), skip)}
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in values.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -84,27 +101,11 @@ def _positive_real(value, context: str) -> float:
 
 
 def zonotope_to_dict(zonotope: Zonotope) -> dict:
-    return {
-        "center": zonotope.center.tolist(),
-        "generators": zonotope.generators.tolist(),
-    }
+    return _to_fields(zonotope)
 
 
 def zonotope_from_dict(raw: dict, context: str = "zonotope") -> Zonotope:
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{context}: expected an object with 'center' and 'generators'")
-    _reject_unknown(raw, ("center", "generators"), context)
-    center = _as_float_array(_require(raw, "center", context), f"{context}.center")
-    generators = _as_float_array(_require(raw, "generators", context), f"{context}.generators")
-    if center.ndim != 1:
-        raise SchemaError(f"{context}.center: expected a flat array")
-    if generators.ndim != 2:
-        raise SchemaError(f"{context}.generators: expected a matrix (list of rows)")
-    if generators.shape[0] != center.shape[0]:
-        raise SchemaError(
-            f"{context}.generators: {generators.shape[0]} rows, center has {center.shape[0]} entries"
-        )
-    return Zonotope(center, generators)
+    return _from_fields(Zonotope, raw, context)
 
 
 def load_zonotope(path) -> Zonotope:
@@ -121,20 +122,12 @@ def problem_to_dict(
     seed: int | None = None,
 ) -> dict:
     parameterization = problem.parameterization
-    if parameterization.kind == "sfg":
-        param = {
-            "kind": "sfg",
-            "template": parameterization.template.tolist(),
-            "scale_floor": parameterization.scale_floor,
-        }
-    else:
-        param = {"kind": "utpd", "diag_floor": parameterization.diag_floor}
     payload = {
-        "A": problem.system.A.tolist(),
-        "w": problem.system.w.tolist(),
-        "box": {"lower": problem.box.lower.tolist(), "upper": problem.box.upper.tolist()},
+        **_to_fields(problem.system),
+        "box": _to_fields(problem.box),
         "T": problem.horizon,
-        "parameterization": param,
+        # The dimension of a triangular parameterization is the dimension of A.
+        "parameterization": {"kind": parameterization.kind, **_to_fields(parameterization, skip=("dim",))},
         "objective": problem.objective,
     }
     if options is not None:
@@ -149,64 +142,44 @@ def problem_from_dict(raw: dict, context: str = "problem"):
     """Parse a problem JSON object.
 
     Returns ``(problem, options, seed)`` where options is None when the file
-    carries none and seed is the optional provenance seed.
+    carries none and seed is the optional provenance seed.  The top level
+    holds the :class:`AffineSystem` fields beside the problem's own keys.
     """
-    _reject_unknown(raw, ("A", "w", "box", "T", "parameterization", "objective", "options", "seed"), context)
-    a_matrix = _as_float_array(_require(raw, "A", context), f"{context}.A")
-    if a_matrix.ndim != 2 or a_matrix.shape[0] != a_matrix.shape[1]:
-        raise SchemaError(f"{context}.A: expected a square matrix")
-    d = a_matrix.shape[0]
+    system_keys = [f.name for f in _file_fields(AffineSystem)]
+    _reject_unknown(raw, (*system_keys, *_PROBLEM_KEYS, "options", "seed"), context)
+    for key in _PROBLEM_KEYS:
+        if key not in raw:
+            raise SchemaError(f"{context}: missing required field {key!r}")
+    system = _from_fields(AffineSystem, {key: raw[key] for key in system_keys if key in raw}, context)
+    d = system.dim
 
-    w = _as_float_array(raw.get("w", np.zeros(d)), f"{context}.w")
-    if w.shape != (d,):
-        raise SchemaError(f"{context}.w: expected {d} entries, got shape {w.shape}")
-
-    box_raw = _require(raw, "box", context)
-    if not isinstance(box_raw, dict):
-        raise SchemaError(f"{context}.box: expected an object with 'lower' and 'upper'")
-    _reject_unknown(box_raw, ("lower", "upper"), f"{context}.box")
-    lower = _as_float_array(_require(box_raw, "lower", f"{context}.box"), f"{context}.box.lower")
-    upper = _as_float_array(_require(box_raw, "upper", f"{context}.box"), f"{context}.box.upper")
-    if lower.shape != (d,) or upper.shape != (d,):
-        raise SchemaError(f"{context}.box: lower/upper must each have {d} entries")
-    if np.any(lower >= upper):
+    box = _from_fields(Box, raw["box"], f"{context}.box")
+    if np.any(box.lower >= box.upper):
         raise SchemaError(f"{context}.box: lower must be strictly below upper in every coordinate")
-    box = Box(lower, upper)
 
-    horizon = _require(raw, "T", context)
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
+    horizon = raw["T"]
+    if not is_integer(horizon) or horizon < 0:
         raise SchemaError(f"{context}.T: expected a nonnegative integer, got {horizon!r}")
     if (horizon + 1) * d * d > MAX_CHAIN_ENTRIES:
         raise SchemaError(
             f"{context}.T: {horizon} is too long; (T + 1) * d^2 must be at most {MAX_CHAIN_ENTRIES} at d = {d}"
         )
 
-    param_raw = _require(raw, "parameterization", context)
-    if not isinstance(param_raw, dict):
-        raise SchemaError(f"{context}.parameterization: expected an object with a 'kind'")
-    kind = _require(param_raw, "kind", f"{context}.parameterization")
+    param_context = f"{context}.parameterization"
+    if not isinstance(raw["parameterization"], dict):
+        raise SchemaError(f"{param_context}: expected an object with a 'kind'")
+    param_fields = dict(raw["parameterization"])
+    kind = param_fields.pop("kind", None)
     if kind == "sfg":
-        _reject_unknown(param_raw, ("kind", "template", "scale_floor"), f"{context}.parameterization")
-        template = _as_float_array(
-            _require(param_raw, "template", f"{context}.parameterization"),
-            f"{context}.parameterization.template",
-        )
-        if template.ndim != 2 or template.shape[0] != d:
-            raise SchemaError(
-                f"{context}.parameterization.template: expected {d} rows to match A"
-            )
-        floor = _positive_real(param_raw.get("scale_floor", 1e-6), f"{context}.parameterization.scale_floor")
-        parameterization = SfgParameterization(template, scale_floor=floor)
+        parameterization = _from_fields(SfgParameterization, param_fields, param_context)
+        if parameterization.dim != d:
+            raise SchemaError(f"{param_context}.template: expected {d} rows to match A")
     elif kind == "utpd":
-        _reject_unknown(param_raw, ("kind", "diag_floor"), f"{context}.parameterization")
-        floor = _positive_real(param_raw.get("diag_floor", 1e-6), f"{context}.parameterization.diag_floor")
-        parameterization = UtpdParameterization(d, diag_floor=floor)
+        parameterization = _from_fields(UtpdParameterization, param_fields, param_context, dim=d)
     else:
-        raise SchemaError(
-            f"{context}.parameterization.kind: expected 'sfg' or 'utpd', got {kind!r}"
-        )
+        raise SchemaError(f"{param_context}.kind: expected 'sfg' or 'utpd', got {kind!r}")
 
-    objective = _require(raw, "objective", context)
+    objective = raw["objective"]
     try:
         make_objective(objective, parameterization)
     except UnsupportedError as exc:
@@ -222,10 +195,13 @@ def problem_from_dict(raw: dict, context: str = "problem"):
             raise SchemaError(f"{context}.{exc}") from exc
 
     seed = raw.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+    if seed is not None and not is_integer(seed):
         raise SchemaError(f"{context}.seed: expected an integer, got {seed!r}")
 
-    problem = InvarianceProblem(AffineSystem(a_matrix, w), box, horizon, parameterization, objective)
+    try:
+        problem = InvarianceProblem(system, box, horizon, parameterization, objective)
+    except ZonoinvError as exc:  # "box dimension ..." when the box does not match A
+        raise SchemaError(f"{context}.{exc}") from exc
     return problem, options, seed
 
 
@@ -238,19 +214,12 @@ def load_problem(path):
 
 
 def result_to_dict(result: SolveResult) -> dict:
-    payload = {
-        "status": result.status,
-        "objective_value": result.objective_value,
-        "volume": result.volume,
-        "iterations": result.iterations,
-        "phase1_iterations": result.phase1_iterations,
-        "horizon_solved": result.horizon_solved,
-        "wall_time": result.wall_time,
-        "kkt_residual": result.kkt_residual,
-        "certificate_ok": result.certificate_ok,
-        "message": result.message,
-    }
-    if result.zonotope is not None:
+    """Every :class:`SolveResult` field in field order, except the raw
+    iterate ``z`` and ``stage_objectives``; the zonotope only when there is one."""
+    payload = _to_fields(result, skip=("z", "stage_objectives"))
+    if result.zonotope is None:
+        del payload["zonotope"]
+    else:
         payload["zonotope"] = zonotope_to_dict(result.zonotope)
     return payload
 

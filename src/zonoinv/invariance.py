@@ -50,6 +50,7 @@ from .parameterizations import SfgParameterization, UtpdParameterization, make_o
 from .zonotope import Box, Zonotope
 
 __all__ = [
+    "CERTIFICATE_TOL",
     "AffineSystem",
     "InvarianceProblem",
     "VariableLayout",
@@ -66,16 +67,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AffineSystem:
-    """Discrete-time dynamics ``x(t+1) = A x(t) + w``."""
+    """Discrete-time dynamics ``x(t+1) = A x(t) + w``; ``w`` defaults to zero.
+
+    Each message of a failed check starts with the field's name.
+    """
 
     A: np.ndarray
-    w: np.ndarray
+    w: np.ndarray | None = None
 
     def __post_init__(self):
         a = as_matrix(self.A, name="A")
         if a.shape[0] != a.shape[1]:
             raise DimensionError(f"A must be square, got {a.shape}")
-        w = as_vector(self.w, size=a.shape[0], name="w")
+        w = np.zeros(a.shape[0]) if self.w is None else as_vector(self.w, size=a.shape[0], name="w")
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "w", w)
 
@@ -488,6 +492,10 @@ def warm_start_point(
     return z0 + 0.5 * float(np.min(slacks[rising] / rate[rising])) * z_dir
 
 
+# The largest box violation, absolute, that the reach-set certificate accepts.
+CERTIFICATE_TOL = 1e-9
+
+
 def certificate_violation(system: AffineSystem, box: Box, horizon: int, zonotope: Zonotope) -> float:
     """Largest box violation of any reach set over t = 0..horizon (0 if none).
 
@@ -504,7 +512,7 @@ def certificate_violation(system: AffineSystem, box: Box, horizon: int, zonotope
 
 
 def check_invariance_certificate(
-    system: AffineSystem, box: Box, horizon: int, zonotope: Zonotope, tol: float = 1e-9
+    system: AffineSystem, box: Box, horizon: int, zonotope: Zonotope, tol: float = CERTIFICATE_TOL
 ) -> bool:
     """True iff every reach set over t = 0..horizon lies in the box within ``tol``."""
     return certificate_violation(system, box, horizon, zonotope) <= tol

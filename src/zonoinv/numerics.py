@@ -3,7 +3,8 @@
 All routines operate on plain ``numpy`` arrays of ``float64``.  The validation
 helpers :func:`as_matrix` and :func:`as_vector` are the single entry point for
 turning user-supplied data into arrays: they coerce dtype, check shape, and
-reject non-finite entries; :func:`is_finite_positive` checks a scalar setting.
+reject non-finite entries, with a :class:`DimensionError` naming the value.
+:func:`is_finite_positive` and :func:`is_integer` check scalar settings.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "is_finite_positive",
+    "is_integer",
     "MAX_CHAIN_ENTRIES",
     "power_chain",
     "index_subsets",
@@ -31,13 +33,21 @@ def is_finite_positive(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 < value < np.inf
 
 
+def is_integer(value) -> bool:
+    """True for an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def as_matrix(values, *, rows: int | None = None, cols: int | None = None, name: str = "matrix") -> np.ndarray:
     """Coerce ``values`` to a 2-D float array with finite entries.
 
     Optional ``rows``/``cols`` pin the expected shape.  Raises
     :class:`DimensionError` on any violation.
     """
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionError(f"{name} must be a numeric array, got {values!r}") from exc
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
     if rows is not None and arr.shape[0] != rows:
@@ -51,7 +61,10 @@ def as_matrix(values, *, rows: int | None = None, cols: int | None = None, name:
 
 def as_vector(values, *, size: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce ``values`` to a 1-D float array with finite entries."""
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionError(f"{name} must be a numeric array, got {values!r}") from exc
     if arr.ndim != 1:
         raise DimensionError(f"{name} must be 1-dimensional, got ndim={arr.ndim}")
     if size is not None and arr.shape[0] != size:

@@ -28,7 +28,6 @@ from .zonotope import Box, Zonotope, interval_hull
 __all__ = [
     "facet_normals",
     "h_representation",
-    "membership",
     "mc_volume",
     "sign_vertices",
     "simulate_invariance",
@@ -93,19 +92,6 @@ def h_representation(zonotope: Zonotope) -> tuple[np.ndarray, np.ndarray]:
     normals = facet_normals(zonotope)
     offsets = np.abs(normals @ zonotope.generators).sum(axis=1)
     return normals, offsets
-
-
-def membership(zonotope: Zonotope, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Boolean mask of which points (rows) lie in the zonotope, via the exact
-    halfspace description."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != zonotope.dim:
-        raise DimensionError(
-            f"points have {points.shape[1]} coordinates, zonotope has dim {zonotope.dim}"
-        )
-    normals, offsets = h_representation(zonotope)
-    projections = np.abs((points - zonotope.center) @ normals.T)
-    return np.all(projections <= offsets + tol, axis=1)
 
 
 def mc_volume(zonotope: Zonotope, n_samples: int, seed: int) -> tuple[float, float]:

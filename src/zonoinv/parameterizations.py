@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError, RankDeficientError, UnsupportedError
-from .numerics import as_matrix, as_vector, index_subsets
+from .numerics import as_matrix, as_vector, index_subsets, is_finite_positive
 
 __all__ = [
     "SubsetWeights",
@@ -107,8 +107,8 @@ class SfgParameterization:
 
     def __post_init__(self):
         tpl = as_matrix(self.template, name="template")
-        if not 0.0 < self.scale_floor < np.inf:
-            raise DomainError(f"scale_floor must be finite and positive, got {self.scale_floor}")
+        if not is_finite_positive(self.scale_floor):
+            raise DomainError(f"scale_floor must be a finite positive number, got {self.scale_floor!r}")
         object.__setattr__(self, "template", tpl)
         object.__setattr__(self, "weights", sfg_precompute_weights(tpl))
 
@@ -222,9 +222,9 @@ class UtpdParameterization:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise DimensionError(f"dimension must be >= 1, got {self.dim}")
-        if not 0.0 < self.diag_floor < np.inf:
-            raise DomainError(f"diag_floor must be finite and positive, got {self.diag_floor}")
+            raise DimensionError(f"dim must be >= 1, got {self.dim}")
+        if not is_finite_positive(self.diag_floor):
+            raise DomainError(f"diag_floor must be a finite positive number, got {self.diag_floor!r}")
         rows, cols = np.triu_indices(self.dim)
         object.__setattr__(self, "_tri", (rows, cols))
         object.__setattr__(self, "_diag_pos", np.flatnonzero(rows == cols))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .invariance import AffineSystem, InvarianceProblem
-from .numerics import block_expm, is_finite_positive
+from .numerics import block_expm, is_finite_positive, is_integer
 from .parameterizations import SfgParameterization, UtpdParameterization
 from .zonotope import Box
 
@@ -41,7 +41,7 @@ DEFAULT_HORIZON = 30
 
 @dataclass(frozen=True)
 class TrialSpec:
-    """One benchmark instance: grid cell (dim, n_generators) and trial index."""
+    """One benchmark instance: grid cell (dim, n_generators) and trial index, each field checked."""
 
     dim: int
     n_generators: int
@@ -51,18 +51,13 @@ class TrialSpec:
     horizon: int = DEFAULT_HORIZON
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionError(f"dim must be >= 1, got {self.dim}")
-        if self.n_generators < self.dim:
-            raise DimensionError(
-                f"n_generators must be >= dim, got {self.n_generators} < {self.dim}"
-            )
-        if self.trial < 0:
-            raise DimensionError(f"trial must be nonnegative, got {self.trial}")
+        for name, least in (("dim", 1), ("trial", 0), ("master_seed", 0), ("horizon", 0)):
+            if not is_integer(getattr(self, name)) or getattr(self, name) < least:
+                raise DimensionError(f"{name} must be an integer >= {least}, got {getattr(self, name)!r}")
+        if not is_integer(self.n_generators) or self.n_generators < self.dim:
+            raise DimensionError(f"n_generators must be an integer >= dim = {self.dim}, got {self.n_generators!r}")
         if not is_finite_positive(self.dt):
             raise DimensionError(f"dt must be a finite positive number, got {self.dt}")
-        if self.horizon < 0:
-            raise DimensionError(f"horizon must be nonnegative, got {self.horizon}")
 
 
 def derive_trial_seed(master_seed: int, dim: int, n_generators: int, trial: int) -> int:

@@ -32,8 +32,8 @@ class Box:
     def __post_init__(self):
         lower = as_vector(self.lower, name="lower")
         upper = as_vector(self.upper, size=lower.shape[0], name="upper")
-        if np.any(lower > upper):
-            raise DimensionError("box lower bound exceeds upper bound")
+        if np.any(upper < lower):
+            raise DimensionError("upper must not lie strictly below lower in any coordinate")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -60,7 +60,7 @@ class Zonotope:
         center = as_vector(self.center, name="center")
         gens = as_matrix(self.generators, rows=center.shape[0], name="generators")
         if gens.shape[1] < 1:
-            raise DimensionError("a zonotope needs at least one generator")
+            raise DimensionError("generators must have at least one column")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "generators", gens)
 

@@ -8,6 +8,8 @@ without touching the package's code paths, trading speed for obviousness:
   (every n-subset of constraint rows), feasible for tiny systems only.
 * ``brute_force_zonotope_volume_2d``: shoelace area of the convex hull of all
   sign vertices (planar only).
+* ``membership``: which points lie in a zonotope, by the halfspace form of
+  the package's own independent oracle ``zonoinv.oracle.h_representation``.
 * ``center_trajectory_feasible``: whether some center trajectory stays in
   the box, by an LP solved with HiGHS.
 * ``reach_set``: center and generators of a zonotope after t steps of the
@@ -23,6 +25,10 @@ import math
 
 import numpy as np
 from scipy.optimize import linprog
+
+from zonoinv.errors import DimensionError
+from zonoinv.oracle import h_representation
+from zonoinv.zonotope import Zonotope
 
 
 def taylor_expm(matrix: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -59,6 +65,19 @@ def lp_vertex_optimum(c: np.ndarray, a_matrix: np.ndarray, b: np.ndarray, tol: f
     if best_point is None:
         raise ValueError("no feasible basic point found (unbounded or empty?)")
     return best_value, best_point
+
+
+def membership(zonotope: Zonotope, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Boolean mask of which points (rows) lie in the zonotope, via the exact
+    halfspace description."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[1] != zonotope.dim:
+        raise DimensionError(
+            f"points have {points.shape[1]} coordinates, zonotope has dim {zonotope.dim}"
+        )
+    normals, offsets = h_representation(zonotope)
+    projections = np.abs((points - zonotope.center) @ normals.T)
+    return np.all(projections <= offsets + tol, axis=1)
 
 
 def center_trajectory_feasible(a_matrix, w, lower, upper, horizon: int) -> bool:

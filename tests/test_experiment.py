@@ -3,6 +3,7 @@ aggregation, and output files."""
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from zonoinv.errors import SchemaError
 from zonoinv.experiment import (
     CSV_COLUMNS,
     METHODS,
+    ExperimentConfig,
     GridRow,
     TrialRecord,
     aggregate,
@@ -23,6 +25,8 @@ from zonoinv.experiment import (
     write_outputs,
 )
 from zonoinv.sysgen import derive_trial_seed
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_config(**overrides):
@@ -114,6 +118,28 @@ class TestConfigParsing:
                 "solver_options": {"mu_factor": 2.0},
             })
 
+    def test_checked_in_configs_parse_unchanged(self):
+        # The reader derives its fields and defaults from ExperimentConfig;
+        # the configs still parse to the same objects.
+        grids = {
+            "acceptance": [(3, 3, 200), (3, 6, 200), (3, 8, 200), (6, 10, 30), (10, 14, 30), (15, 16, 12)],
+            "table_full": [(3, 3, 200), (3, 6, 200), (3, 8, 200), (6, 10, 200), (8, 13, 30), (10, 14, 30),
+                           (12, 15, 30), (15, 16, 12)],
+        }
+        expected = {
+            name: ExperimentConfig(
+                grid=tuple(GridRow(*row) for row in grid), methods=METHODS, master_seed=20260815,
+                dt=0.2, horizon=30, time_limit=None, output_dir=f"runs/{name}", solver_options=(),
+            )
+            for name, grid in grids.items()
+        }
+        expected["smoke"] = ExperimentConfig(
+            grid=(GridRow(2, 3, 3), GridRow(3, 3, 2)), methods=("sfg+ss", "sfg+lgv", "utpd+lgv"), master_seed=7,
+            dt=0.2, horizon=30, time_limit=None, output_dir="runs/smoke", solver_options=(),
+        )
+        for name, config in expected.items():
+            assert load_config(ROOT / "configs" / f"{name}.json") == config
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"grid": [[2, 3, 1]], "master_seed": 5}))
@@ -192,6 +218,12 @@ class TestRunExperiment:
             rows = list(csv.reader(handle))
         assert rows[0] == list(CSV_COLUMNS)
         assert "no instance" not in open(paths["trials"]).read()
+
+    def test_csv_header_is_pinned(self):
+        # CSV_COLUMNS is derived from the TrialRecord fields; the header stays the one the README documents.
+        header = "dim,n_generators,method,trial,seed,status,volume,objective_value,iterations,wall_time,certificate_ok"
+        assert ",".join(CSV_COLUMNS) == header
+        assert f"`{header}`" in (ROOT / "README.md").read_text(encoding="utf-8")
 
     def test_volume_ordering_within_trials(self, records):
         # Maximizing log-volume dominates maximizing the scale sum on the

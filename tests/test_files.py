@@ -1,6 +1,7 @@
 """Tests for the JSON file formats: round trips and schema errors that name
 the offending field."""
 
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -21,7 +22,7 @@ from zonoinv.files import (
 )
 from zonoinv.invariance import AffineSystem, InvarianceProblem
 from zonoinv.parameterizations import SfgParameterization, UtpdParameterization
-from zonoinv.solver import SolverOptions, solve_invariance
+from zonoinv.solver import SolveResult, SolverOptions, solve_invariance
 from zonoinv.zonotope import Box, Zonotope
 
 
@@ -70,8 +71,26 @@ class TestZonotopeRoundTrip:
         with pytest.raises(SchemaError, match="finite"):
             zonotope_from_dict({"center": [float("nan")], "generators": [[1.0]]})
 
+    def test_no_generator_columns(self):
+        with pytest.raises(SchemaError, match=r"zonotope\.generators"):
+            zonotope_from_dict({"center": [0.0], "generators": [[]]})
+
 
 class TestProblemRoundTrip:
+    def test_written_format_is_pinned(self):
+        # The writer derives its keys from the dataclasses; the file stays as it was.
+        box = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+        head = {"A": [[0.6, 0.1], [0.0, 0.5]], "w": [0.01, -0.02], "box": box, "T": 8}
+        expected = {
+            "sfg": {"kind": "sfg", "template": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]], "scale_floor": 1e-7},
+            "utpd": {"kind": "utpd", "diag_floor": 1e-7},
+        }
+        for kind, param in expected.items():
+            raw = json.loads(json.dumps(problem_to_dict(sample_problem(kind))))
+            assert raw == {**head, "parameterization": param, "objective": "lgv"}
+            assert list(raw) == ["A", "w", "box", "T", "parameterization", "objective"]
+            assert list(raw["parameterization"]) == list(param)
+
     def test_sfg_round_trip(self, tmp_path):
         problem = sample_problem("sfg")
         options = SolverOptions(gap_tol=1e-9, max_newton=40)
@@ -201,6 +220,14 @@ class TestProblemSchemaErrors:
         with pytest.raises(SchemaError, match="template"):
             problem_from_dict(raw)
 
+    def test_template_without_full_row_rank(self):
+        # A zero template and one with fewer columns than rows span no volume.
+        for template in ([[0.0, 0.0], [0.0, 0.0]], [[1.0], [0.0]]):
+            raw = sample_dict()
+            raw["parameterization"]["template"] = template
+            with pytest.raises(SchemaError, match=r"problem\.parameterization\.template"):
+                problem_from_dict(raw)
+
     def test_unknown_objective(self):
         raw = sample_dict()
         raw["objective"] = "diameter"
@@ -232,6 +259,10 @@ class TestProblemSchemaErrors:
             load_problem(path)
 
 
+# Every SolveResult field in field order, but the raw iterate and the stage objectives.
+RESULT_KEYS = [f.name for f in fields(SolveResult) if f.name not in ("z", "stage_objectives")]
+
+
 class TestResultSerialization:
     def test_optimal_result_includes_zonotope(self, tmp_path):
         problem = InvarianceProblem(
@@ -241,6 +272,7 @@ class TestResultSerialization:
         result = solve_invariance(problem)
         assert result.status == "optimal"
         payload = result_to_dict(result)
+        assert list(payload) == RESULT_KEYS
         assert payload["status"] == "optimal"
         assert payload["volume"] == pytest.approx(2.0, abs=1e-6)
         assert payload["certificate_ok"] is True
@@ -258,6 +290,7 @@ class TestResultSerialization:
         result = solve_invariance(problem)
         assert result.status == "infeasible"
         payload = result_to_dict(result)
+        assert list(payload) == [key for key in RESULT_KEYS if key != "zonotope"]
         assert "zonotope" not in payload
         assert payload["horizon_solved"] == 10  # the drift never lets the box map into itself
         with pytest.raises(SchemaError, match="zonotope"):

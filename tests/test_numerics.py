@@ -36,6 +36,15 @@ class TestCoercion:
         with pytest.raises(DimensionError):
             as_vector([[1.0, 2.0]])
 
+    def test_non_numeric_input_raises_dimension_error_naming_it(self):
+        # Text, ragged rows and integers beyond float range are not arrays of floats.
+        with pytest.raises(DimensionError, match="^gamma must be a numeric array"):
+            as_vector(["x"], name="gamma")
+        with pytest.raises(DimensionError, match="^A must be a numeric array"):
+            as_matrix([[1.0], [1.0, 2.0]], name="A")
+        with pytest.raises(DimensionError):
+            as_vector([10**400])
+
 
 class TestPowerChain:
     def test_values(self):

@@ -4,7 +4,7 @@ volume, point simulation, finite differences)."""
 import numpy as np
 import pytest
 
-from oracles import brute_force_zonotope_volume_2d
+from oracles import brute_force_zonotope_volume_2d, membership
 from zonoinv.errors import DimensionError, DomainError, UnsupportedError
 from zonoinv.invariance import AffineSystem
 from zonoinv.oracle import (
@@ -13,7 +13,6 @@ from zonoinv.oracle import (
     finite_diff_hessian,
     h_representation,
     mc_volume,
-    membership,
     sign_vertices,
     simulate_invariance,
 )

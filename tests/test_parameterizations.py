@@ -50,7 +50,7 @@ class TestSubsetWeights:
 
 class TestFloors:
     def test_rejects_non_finite_and_nonpositive_floors(self):
-        for value in (0.0, -1e-6, float("nan"), float("inf")):
+        for value in (0.0, -1e-6, float("nan"), float("inf"), True, "abc"):
             with pytest.raises(DomainError, match="scale_floor"):
                 SfgParameterization(np.eye(2), scale_floor=value)
             with pytest.raises(DomainError, match="diag_floor"):

@@ -22,7 +22,8 @@ numbers = st.one_of(
 # The tokens of the enumerated fields, so that valid-looking but mismatched values come up.
 tokens = st.sampled_from(["sfg", "utpd", "ss", "slgs", "lgv", "sfg+lgv", "utpd+ss"])
 scalars = st.one_of(st.none(), st.booleans(), numbers, tokens, st.text(max_size=4))
-# Any JSON value, plus numeric vectors and matrices of the wrong sizes.
+# Any JSON value, plus numeric vectors and matrices of the wrong sizes, a
+# matrix without full row rank and one without columns.
 json_values = st.one_of(
     st.recursive(
         scalars,
@@ -31,6 +32,7 @@ json_values = st.one_of(
     ),
     st.lists(numbers, max_size=4),
     st.lists(st.lists(numbers, max_size=4), max_size=4),
+    st.sampled_from([[[0.0, 0.0], [0.0, 0.0]], [[]]]),
 )
 DELETE = object()
 

@@ -34,6 +34,13 @@ class TestTrialSpec:
             TrialSpec(dim=2, n_generators=3, trial=0, master_seed=1, dt=0.0)
         with pytest.raises(DimensionError):
             TrialSpec(dim=2, n_generators=3, trial=0, master_seed=1, horizon=-1)
+        # A negative seed has no SeedSequence, and a float or bool is no count.
+        with pytest.raises(DimensionError, match="^master_seed"):
+            TrialSpec(dim=2, n_generators=3, trial=0, master_seed=-1)
+        with pytest.raises(DimensionError, match="^dim"):
+            TrialSpec(dim=2.0, n_generators=3, trial=0, master_seed=1)
+        with pytest.raises(DimensionError, match="^horizon"):
+            TrialSpec(dim=2, n_generators=3, trial=0, master_seed=1, horizon=True)
 
 
 class TestSeeds:
