@@ -16,9 +16,8 @@ conditions; both parameterizations turn them into linear inequalities
 * scaled templates: ``|A^t G diag(gamma)| 1 = |A^t G| gamma`` for
   ``gamma > 0``, so the rows are linear in ``(c, gamma)`` directly;
 * triangular generators: the absolute values are lifted exactly with
-  auxiliary variables ``M_t >= +- A^t G`` (elementwise); at ``t = 0`` the
-  diagonal entries have known positive sign, so only the off-diagonal
-  entries get auxiliaries.
+  auxiliary variables ``M_t >= +- A^t G`` (elementwise), at every ``t``
+  alike (``A^0 = I``).
 
 Most of those rows are implied by earlier ones.  Since ``R_t = A^k R_{t-k}
 + drift(k)``, once row i of the box maps into itself in k_i steps (row i of
@@ -129,22 +128,22 @@ def _drift_table(system: AffineSystem, horizon: int) -> np.ndarray:
 class VariableLayout:
     """Where each variable group lives inside the stacked vector ``z``.
 
-    ``center`` and ``free`` always exist; the triangular parameterization adds
-    ``aux0`` (off-diagonal absolute values at t = 0) and ``lifted`` (the
-    rows ``M_t[i, :]`` for t >= 1).  ``row_steps[i]`` is the number of time
-    steps t = 0, 1, ... whose rows for state row i are in the system: T + 1
-    for :func:`assemble_sfg` and :func:`assemble_utpd` by default,
-    :func:`presolve` for :func:`assemble`.  ``horizon``, the last time
-    step with any row, is ``max(row_steps) - 1``.
+    ``center`` and ``free`` always exist; the triangular parameterization
+    adds ``lifted`` (the kept rows ``M_t[i, :]``, t = 0 included).
+    ``row_steps[i]`` is the number of time steps t = 0, 1, ... whose rows
+    for state row i are in the system: T + 1 for :func:`assemble_sfg` and
+    :func:`assemble_utpd` by default, :func:`presolve` for :func:`assemble`.
+    ``horizon``, the last time step with any row, is ``max(row_steps) - 1``.
 
     ``elim_blocks`` lists, for the Newton solver, one group of lifted
-    variables per kept (t, state row i), t >= 1: the d entries ``M_t[i, :]``.
+    variables per kept (t, state row i): the d entries ``M_t[i, :]``.
     ``block_rows`` is aligned with it and names the only rows of ``C`` that
     touch the group, as a (d + 1, 2) array.  Row pair j < d holds the two
     aux rows of ``M_t[i, j]`` (coefficient -1 on that entry and on no other
     entry of the group); pair d holds the lower and upper box rows of (t, i)
     (coefficient +1 on every entry of the group).  So the group's barrier
-    Hessian is diagonal plus rank one, and groups share no row.
+    Hessian is diagonal plus rank one, and groups share no row.  The d
+    diagonal-floor rows are the only rows outside every group.
 
     ``block_support`` and ``block_coef`` hold what those rows have on the
     other columns.  ``block_support`` has shape (d + 1, w): row j < d lists
@@ -164,7 +163,6 @@ class VariableLayout:
     m: int
     center: slice
     free: slice
-    aux0: slice | None = None
     lifted: slice | None = None
     elim_blocks: tuple = ()
     block_rows: tuple = ()
@@ -179,40 +177,33 @@ class VariableLayout:
     def decode(self, z) -> dict:
         """Split a solution vector into named parts including the zonotope.
 
-        ``lifted`` is a (horizon, d, d) array whose dropped rows ``M_t[i, :]``
-        (``t >= row_steps[i]``) are zero."""
+        ``lifted`` is a (horizon + 1, d, d) array whose dropped rows
+        ``M_t[i, :]`` (``t >= row_steps[i]``) are zero."""
         z = as_vector(z, size=self.n, name="z")
         param = self.parameterization
         c = z[self.center].copy()
         free = z[self.free].copy()
         out = {"center": c, "free": free, "generators": param.effective_generators(free)}
-        if self.kind == "sfg":
-            out["gamma"] = free
-        if self.aux0 is not None:
-            out["aux0"] = z[self.aux0].copy()
         if self.lifted is not None:
-            lifted = np.zeros((self.horizon, self.dim, self.dim))
-            lifted[_kept_rows(self.row_steps)[1:]] = z[self.lifted].reshape(-1, self.dim)
+            lifted = np.zeros((self.horizon + 1, self.dim, self.dim))
+            lifted[_kept_rows(self.row_steps)] = z[self.lifted].reshape(-1, self.dim)
             out["lifted"] = lifted
         return out
 
-    def encode(self, center, free, aux0=None, lifted=None) -> np.ndarray:
+    def encode(self, center, free, lifted=None) -> np.ndarray:
         """Inverse of :meth:`decode` (lossless round trip); ``lifted`` is a
-        (horizon, d, d) array, of which only the kept rows are written."""
+        (horizon + 1, d, d) array, of which only the kept rows are written."""
         z = np.zeros(self.n)
         z[self.center] = as_vector(center, size=self.dim, name="center")
         z[self.free] = as_vector(free, size=self.free.stop - self.free.start, name="free")
-        if self.aux0 is not None:
-            if aux0 is None:
-                raise DimensionError("this layout requires aux0 values")
-            z[self.aux0] = as_vector(aux0, size=self.aux0.stop - self.aux0.start, name="aux0")
         if self.lifted is not None:
             if lifted is None:
                 raise DimensionError("this layout requires lifted values")
             lifted = np.asarray(lifted, dtype=float)
-            if lifted.shape != (self.horizon, self.dim, self.dim):
-                raise DimensionError(f"lifted must have shape {(self.horizon, self.dim, self.dim)}, got {lifted.shape}")
-            z[self.lifted] = lifted[_kept_rows(self.row_steps)[1:]].ravel()
+            shape = (self.horizon + 1, self.dim, self.dim)
+            if lifted.shape != shape:
+                raise DimensionError(f"lifted must have shape {shape}, got {lifted.shape}")
+            z[self.lifted] = lifted[_kept_rows(self.row_steps)].ravel()
         return z
 
 
@@ -344,39 +335,33 @@ def assemble_sfg(problem: InvarianceProblem, steps=None, powers: np.ndarray | No
 def assemble_utpd(problem: InvarianceProblem, steps=None, powers: np.ndarray | None = None) -> LinearInequalitySystem:
     """Exact lifting of the triangular-parameterization constraints.
 
-    Variables: center c (d), packed triangle g (d(d+1)/2), off-diagonal
-    auxiliaries at t = 0 (d(d-1)/2, since the diagonal has known sign), and
-    for each kept (t, i) with t >= 1 the row ``M_t[i, :]`` (d) of an
-    auxiliary matrix with ``M_t >= +-(A^t G)`` elementwise.  State row i is
-    kept at t < ``steps[i]`` (every t <= T by default); ``powers``, when
-    given, is a power chain at least that long.  Row order: d diagonal-floor
-    rows; t = 0 lower/upper box rows; t = 0 off-diagonal aux rows (pairs
-    +,-); then per t >= 1 the 2d aux rows of each kept ``M_t[i, :]``
-    (pairs +,-, row-major) followed by the lower then the upper box rows of
-    those (t, i).  Dropping (t, i) drops its d variables and 2d + 2 rows.
+    Variables: center c (d), packed triangle g (d(d+1)/2), and for each kept
+    (t, i) the row ``M_t[i, :]`` (d) of an auxiliary matrix with
+    ``M_t >= +-(A^t G)`` elementwise, ``A^0 = I``.  State row i is kept at
+    t < ``steps[i]`` (every t <= T by default); ``powers``, when given, is a
+    power chain at least that long.  Row order: d diagonal-floor rows; then
+    per t the 2d aux rows of each kept ``M_t[i, :]`` (pairs +,-, row-major)
+    followed by the lower then the upper box rows of those (t, i).  Dropping
+    (t, i) drops its d variables and 2d + 2 rows.  For B = sum(steps)
+    blocks, n = d + d(d+1)/2 + B d and m = d + B (2d + 2).
 
     Each row family is one broadcast of (row, column, value) over its index
-    grid; the columns of ``G[k, j]`` and ``aux0[i, j]`` come from two packed
-    position tables.  The entries of the t >= 1 rows outside their blocks are
-    written from ``block_support`` and ``block_coef``, which the layout keeps
-    for the Newton solver (see :class:`VariableLayout`).  The CSR conversion
-    sorts every row by column, so the order of the families does not change
-    ``C``.
+    grid; the columns of ``G[k, j]`` come from a packed position table.  The
+    entries of the block rows outside their blocks are written from
+    ``block_support`` and ``block_coef``, which the layout keeps for the
+    Newton solver (see :class:`VariableLayout`).  The CSR conversion sorts
+    every row by column, so the order of the families does not change ``C``.
     """
     param = problem.parameterization
     if param.kind != "utpd":
         raise UnsupportedError("assemble_utpd requires the triangular parameterization")
     steps = _row_steps(problem, steps)
     d, horizon = problem.dim, int(steps.max()) - 1
-    t_blk, i_blk = np.nonzero(_kept_rows(steps)[1:])    # one block M_t[i, :] per kept (t, i), t >= 1
-    t_blk += 1
+    t_blk, i_blk = np.nonzero(_kept_rows(steps))        # one block M_t[i, :] per kept (t, i)
     n_blocks = t_blk.size
-    n_g = d * (d + 1) // 2
-    n_aux0 = d * (d - 1) // 2
-    aux0_off = d + n_g
-    m_off = aux0_off + n_aux0      # the blocks start here, d columns each
+    m_off = d + d * (d + 1) // 2   # the blocks start here, d columns each
     n = m_off + n_blocks * d
-    m = 3 * d + d * (d - 1) + n_blocks * (2 * d + 2)
+    m = d + n_blocks * (2 * d + 2)
     powers = power_chain(problem.system.A, horizon) if powers is None else powers[:horizon + 1]
     drifts = _drift_table(problem.system, horizon)
     lo, up = problem.box.lower, problem.box.upper
@@ -384,23 +369,16 @@ def assemble_utpd(problem: InvarianceProblem, steps=None, powers: np.ndarray | N
     idx = np.arange(d)
     g_pos = np.zeros((d, d), dtype=np.intp)              # column of G[k, j], k <= j
     k_tri, j_tri = np.triu_indices(d)
-    g_pos[k_tri, j_tri] = d + np.arange(n_g)
-    aux0_pos = np.zeros((d, d), dtype=np.intp)           # column of aux0[i, j], i < j
-    i_off, j_off = np.triu_indices(d, 1)
-    aux0_pos[i_off, j_off] = aux0_off + np.arange(n_aux0)
-    diag_cols = g_pos[idx, idx]
+    g_pos[k_tri, j_tri] = np.arange(d, m_off)
     pm = np.array([1.0, -1.0])                           # signs of an aux pair (+, -)
 
-    # t = 0: box rows [i, lower/upper] and off-diagonal aux pairs [q, +/-].
-    box0 = d + idx[:, np.newaxis] + np.array([0, d])
-    aux0_rows = 3 * d + 2 * np.arange(n_aux0)[:, np.newaxis] + np.array([0, 1])
-    # t >= 1: block_rows[b] holds the aux pairs of block b's M_t[i, :] and the
-    # box pair of its (t, i); m_cols[b, j] is the column of M_t[i, j].  Time t
+    # block_rows[b] holds the aux pairs of block b's M_t[i, :] and the box
+    # pair of its (t, i); m_cols[b, j] is the column of M_t[i, j].  Time t
     # holds count[t] blocks; block b is the rank[b]-th of its time.
     count = np.bincount(t_blk, minlength=horizon + 1)
     before = np.cumsum(count) - count                    # blocks of earlier times
     rank = np.arange(n_blocks) - before[t_blk]
-    base = 3 * d + d * (d - 1) + (2 * d + 2) * before[t_blk]
+    base = d + (2 * d + 2) * before[t_blk]
     width = count[t_blk]
     block_rows = np.empty((n_blocks, d + 1, 2), dtype=np.intp)
     block_rows[:, :d] = (base[:, np.newaxis, np.newaxis] + 2 * (d * rank[:, np.newaxis, np.newaxis]
@@ -419,16 +397,11 @@ def assemble_utpd(problem: InvarianceProblem, steps=None, powers: np.ndarray | N
     block_coef[d] = -pm[:, np.newaxis, np.newaxis] * a_rows
     pair_rows, pair_cols = np.broadcast_arrays(block_rows.transpose(1, 2, 0)[..., np.newaxis],
                                                block_support[:, np.newaxis, np.newaxis])
-    on = pair_cols >= 0
+    on = block_coef != 0.0                               # neither padding nor the zeros of A^t (A^0 = I)
 
     families = [  # (rows, columns, values), broadcast against each other
-        (idx, diag_cols, -1.0),                                   # -G[i, i] <= -diag_floor
-        (box0, idx[:, np.newaxis], -pm),                          # t = 0 box rows: -+c
-        (box0, diag_cols[:, np.newaxis], 1.0),                    #   + G[i, i] (known sign)
-        (box0[i_off], aux0_pos[i_off, j_off, np.newaxis], 1.0),   #   + aux0[i, j], j > i
-        (aux0_rows, g_pos[i_off, j_off, np.newaxis], pm),         # +-G[i, j] - aux0[i, j] <= 0
-        (aux0_rows, aux0_pos[i_off, j_off, np.newaxis], -1.0),
-        (pair_rows[on], pair_cols[on], block_coef[on]),           # t >= 1 block rows, outside the blocks
+        (idx, g_pos[idx, idx], -1.0),                             # -G[i, i] <= -diag_floor
+        (pair_rows[on], pair_cols[on], block_coef[on]),           # block rows, outside the blocks
         (block_rows[:, :d], m_cols[..., np.newaxis], -1.0),       # aux rows: - M_t[i, j] <= 0
         (box_t, m_cols[..., np.newaxis], 1.0),                    # box rows: + sum_j M_t[i, j]
     ]
@@ -438,14 +411,12 @@ def assemble_utpd(problem: InvarianceProblem, steps=None, powers: np.ndarray | N
 
     b = np.zeros(m)                                      # aux rows stay zero
     b[:d] = -param.diag_floor
-    b[box0[:, 0]], b[box0[:, 1]] = drifts[0] - lo, up - drifts[0]
     drift_blk = drifts[t_blk, i_blk]
     b[block_rows[:, d, 0]], b[block_rows[:, d, 1]] = drift_blk - lo[i_blk], up[i_blk] - drift_blk
 
     layout = VariableLayout(
         kind="utpd", dim=d, n_generators=d, row_steps=tuple(steps.tolist()), n=n, m=m,
-        center=slice(0, d), free=slice(d, aux0_off), aux0=slice(aux0_off, m_off),
-        lifted=slice(m_off, n) if n_blocks else None,
+        center=slice(0, d), free=slice(d, m_off), lifted=slice(m_off, n),
         elim_blocks=tuple(m_cols), block_rows=tuple(block_rows),
         block_support=block_support, block_coef=block_coef, parameterization=param,
     )
@@ -458,9 +429,10 @@ def warm_start_point(
     """Interior point on the ray ``z0 + alpha z_dir`` for ``system``.
 
     ``z0`` is the box midpoint with tiny generators (``initial_free``) and
-    auxiliaries padded by ``10 diag_floor``.  ``z_dir`` keeps the center and
-    sets gamma = 1 (``sfg``), or G = diag(h) for the box half-widths h with
-    aux0 and the kept lifted rows at ``|A^t G| + 0.2 max(h)`` (``utpd``).
+    the kept lifted rows at ``|A^t G|`` padded by ``10 diag_floor``.
+    ``z_dir`` keeps the center and sets gamma = 1 (``sfg``), or G = diag(h)
+    for the box half-widths h with the kept lifted rows at
+    ``|A^t G| + 0.2 max(h)`` (``utpd``).
     Every row of ``C z <= b`` is affine in alpha; alpha is half the largest
     step before a rising row reaches its bound, so every slack stays at
     least half its value at ``z0``, and the point scales with the box.
@@ -481,10 +453,8 @@ def warm_start_point(
         horizon = layout.horizon
         powers = power_chain(problem.system.A, horizon) if powers is None else powers[:horizon + 1]
         pad, pad_dir = 10.0 * param.diag_floor, 0.2 * float(np.max(half))
-        n_aux0 = d * (d - 1) // 2
-        z0 = layout.encode(mid, free0, aux0=np.full(n_aux0, pad), lifted=np.abs(powers[1:] @ param.unpack(free0)) + pad)
-        z_dir = layout.encode(np.zeros(d), param.pack(np.diag(half)), aux0=np.full(n_aux0, pad_dir),
-                              lifted=np.abs(powers[1:]) * half + pad_dir)
+        z0 = layout.encode(mid, free0, lifted=np.abs(powers @ param.unpack(free0)) + pad)
+        z_dir = layout.encode(np.zeros(d), param.pack(np.diag(half)), lifted=np.abs(powers) * half + pad_dir)
     slacks, rate = system.slacks(z0), system.C @ z_dir
     rising = rate > 0.0
     if np.min(slacks) <= 0.0 or not rising.any():

@@ -14,8 +14,9 @@ dual residual are below ``gap_tol``.  The reported KKT residual, the
 larger of ``max |grad f - C^T lambda|`` and ``max lambda_i s_i``, comes
 from that last check's gradient, duals and slacks, so the final point is
 differentiated once.  From the interior start of
-:func:`~zonoinv.invariance.warm_start_point` a solve typically takes 6-7
-stages and 7-33 Newton steps.
+:func:`~zonoinv.invariance.warm_start_point` a solve of the acceptance
+batch takes 6-7 stages and 7-42 Newton steps, phase 1 included (the most at
+(15,16) ``utpd+lgv``).
 
 The operators of a solve are built once per :func:`maximize` call, in
 :class:`_KKTSolver`: ``C``, its transpose and the block structure below, so
@@ -24,9 +25,9 @@ by Cholesky (LAPACK ``potrf``/``potrs``).  In the lifted triangular
 systems each (time step, state row) block of d lifted variables touches
 only its recorded rows (one aux-row pair per variable, one box-row pair
 shared by all), so its Newton block is diagonal plus rank one and
-Sherman-Morrison inverts it in O(d); the Schur complement onto the about
-d^2 "kept" variables (phase 1's extra one included) is formed in closed
-form from the recorded rows.
+Sherman-Morrison inverts it in O(d); the Schur complement onto the
+d + d(d+1)/2 "kept" variables, the center and the packed triangle (plus
+phase 1's s), is formed in closed form from the recorded rows.
 
 An ``infeasible`` status comes from one of two places.  Before anything
 is assembled, :func:`solve_invariance` runs the exact interval test of
@@ -202,11 +203,12 @@ class _KKTSolver:
     coefficients of pair j and of the last pair.  Each pair touches a few
     kept columns (its support), so the Schur complement onto the kept
     variables is formed in closed form and scattered in one ``bincount``:
-    ``C_0^T D_0 C_0`` over the rows outside every block, a small dense term
-    per pair over its support, the rank-one coupling between the pairs of
-    each block, and last ``-hess_f`` on the objective's variables (Boyd &
-    Vandenberghe, *Convex Optimization*, App. C.4: block elimination with
-    the matrix inversion lemma).  The supports and coefficients are the
+    ``C_0^T D_0 C_0`` over the rows outside every block (the d
+    diagonal-floor rows, which in phase 1 also hold s, and phase 1's bound
+    row), a small dense term per pair over its support, the rank-one
+    coupling between the pairs of each block, and last ``-hess_f`` on the
+    objective's variables (Boyd & Vandenberghe, *Convex Optimization*,
+    App. C.4: block elimination with the matrix inversion lemma).  The supports and coefficients are the
     layout's ``block_support`` and ``block_coef``; of ``C`` only the rows
     outside the blocks are read.
     """

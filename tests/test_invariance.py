@@ -175,56 +175,64 @@ class TestAssembleSfg:
 
 class TestAssembleUtpd:
     def test_shapes(self):
-        # d = 3, T = 30: n = 3 + 6 + 3 + 30*9 = 282,
-        # m = 3 + 6 + 6 + 30*(18 + 6) = 735.
+        # d = 3, T = 30, B = 31*3 blocks: n = 3 + 6 + 93*3 = 288,
+        # m = 3 + 93*(6 + 2) = 747.
         rng = np.random.default_rng(5)
         sys_ = random_stable_system(rng, 3)
         problem = InvarianceProblem(sys_, unit_box(3), 30, UtpdParameterization(3), "lgv")
         system = assemble_utpd(problem)
-        assert system.shape == (735, 282)
+        assert system.shape == (747, 288)
         layout = system.layout
         assert layout.center == slice(0, 3)
         assert layout.free == slice(3, 9)
-        assert layout.aux0 == slice(9, 12)
-        assert layout.lifted == slice(12, 282)
-        assert len(layout.elim_blocks) == 30 * 3
+        assert layout.lifted == slice(9, 288)
+        assert len(layout.elim_blocks) == 31 * 3
         assert all(len(block) == 3 for block in layout.elim_blocks)
 
     def test_hand_rows_d2(self):
         # d = 2, T = 1, A = [[1/2, 1/4], [-1/8, 3/4]], w = (1/4, -1/2), box
-        # [-1, 1]^2. Columns: c0 c1 | G00 G01 G11 | a01 | M00 M01 M10 M11.
+        # [-1, 1]^2. Columns: c0 c1 | G00 G01 G11 | N00 N01 N10 N11 | M00 M01
+        # M10 M11, with N = M_0 >= +-G and M = M_1 >= +-AG.
         sys_ = AffineSystem([[0.5, 0.25], [-0.125, 0.75]], [0.25, -0.5])
         param = UtpdParameterization(2, diag_floor=1e-6)
         system = assemble_utpd(InvarianceProblem(sys_, unit_box(2), 1, param, "lgv"))
         expected_c = np.array([
-            [0, 0, -1, 0, 0, 0, 0, 0, 0, 0],              # -G00 <= -floor
-            [0, 0, 0, 0, -1, 0, 0, 0, 0, 0],              # -G11 <= -floor
-            [-1, 0, 1, 0, 0, 1, 0, 0, 0, 0],              # t=0 lower: -c0 + G00 + a01
-            [0, -1, 0, 0, 1, 0, 0, 0, 0, 0],              # t=0 lower: -c1 + G11
-            [1, 0, 1, 0, 0, 1, 0, 0, 0, 0],               # t=0 upper
-            [0, 1, 0, 0, 1, 0, 0, 0, 0, 0],
-            [0, 0, 0, 1, 0, -1, 0, 0, 0, 0],              # +G01 - a01
-            [0, 0, 0, -1, 0, -1, 0, 0, 0, 0],             # -G01 - a01
-            [0, 0, 0.5, 0, 0, 0, -1, 0, 0, 0],            # +(AG)00 - M00
-            [0, 0, -0.5, 0, 0, 0, -1, 0, 0, 0],           # -(AG)00 - M00
-            [0, 0, 0, 0.5, 0.25, 0, 0, -1, 0, 0],         # (AG)01 = G01/2 + G11/4
-            [0, 0, 0, -0.5, -0.25, 0, 0, -1, 0, 0],
-            [0, 0, -0.125, 0, 0, 0, 0, 0, -1, 0],         # (AG)10 = -G00/8
-            [0, 0, 0.125, 0, 0, 0, 0, 0, -1, 0],
-            [0, 0, 0, -0.125, 0.75, 0, 0, 0, 0, -1],      # (AG)11 = -G01/8 + 3 G11/4
-            [0, 0, 0, 0.125, -0.75, 0, 0, 0, 0, -1],
-            [-0.5, -0.25, 0, 0, 0, 0, 1, 1, 0, 0],        # t=1 lower: -(Ac)0 + M00 + M01
-            [0.125, -0.75, 0, 0, 0, 0, 0, 0, 1, 1],
-            [0.5, 0.25, 0, 0, 0, 0, 1, 1, 0, 0],          # t=1 upper
-            [-0.125, 0.75, 0, 0, 0, 0, 0, 0, 1, 1],
+            [0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],              # -G00 <= -floor
+            [0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0],              # -G11 <= -floor
+            [0, 0, 1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0],              # +G00 - N00
+            [0, 0, -1, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0],             # -G00 - N00
+            [0, 0, 0, 1, 0, 0, -1, 0, 0, 0, 0, 0, 0],              # +G01 - N01
+            [0, 0, 0, -1, 0, 0, -1, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0],              # G10 = 0: -N10
+            [0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0, 0],              # +G11 - N11
+            [0, 0, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, 0],
+            [-1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0],              # t=0 lower: -c0 + N00 + N01
+            [0, -1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0],
+            [1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0],               # t=0 upper
+            [0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0],
+            [0, 0, 0.5, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0],            # +(AG)00 - M00
+            [0, 0, -0.5, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0],           # -(AG)00 - M00
+            [0, 0, 0, 0.5, 0.25, 0, 0, 0, 0, 0, -1, 0, 0],         # (AG)01 = G01/2 + G11/4
+            [0, 0, 0, -0.5, -0.25, 0, 0, 0, 0, 0, -1, 0, 0],
+            [0, 0, -0.125, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0],         # (AG)10 = -G00/8
+            [0, 0, 0.125, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0],
+            [0, 0, 0, -0.125, 0.75, 0, 0, 0, 0, 0, 0, 0, -1],      # (AG)11 = -G01/8 + 3 G11/4
+            [0, 0, 0, 0.125, -0.75, 0, 0, 0, 0, 0, 0, 0, -1],
+            [-0.5, -0.25, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0],        # t=1 lower: -(Ac)0 + M00 + M01
+            [0.125, -0.75, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1],
+            [0.5, 0.25, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0],          # t=1 upper
+            [-0.125, 0.75, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1],
         ])
-        expected_b = np.array([-1e-6, -1e-6, 1, 1, 1, 1] + [0] * 10 + [1.25, 0.5, 0.75, 1.5])
+        expected_b = np.array([-1e-6, -1e-6] + [0] * 8 + [1, 1, 1, 1] + [0] * 8 + [1.25, 0.5, 0.75, 1.5])
         assert np.array_equal(system.C.toarray(), expected_c)
         assert np.array_equal(system.b, expected_b)
-        assert [block.tolist() for block in system.layout.elim_blocks] == [[6, 7], [8, 9]]
+        assert [block.tolist() for block in system.layout.elim_blocks] == [[5, 6], [7, 8], [9, 10], [11, 12]]
         assert [rows.tolist() for rows in system.layout.block_rows] == [
-            [[8, 9], [10, 11], [16, 18]],
-            [[12, 13], [14, 15], [17, 19]],
+            [[2, 3], [4, 5], [10, 12]],
+            [[6, 7], [8, 9], [11, 13]],
+            [[14, 15], [16, 17], [22, 24]],
+            [[18, 19], [20, 21], [23, 25]],
         ]
 
     def test_block_rows_are_the_only_rows_of_each_block(self):
@@ -236,7 +244,7 @@ class TestAssembleUtpd:
         system = assemble_utpd(problem)
         dense = system.C.toarray()
         layout = system.layout
-        assert len(layout.block_rows) == len(layout.elim_blocks) == T * d
+        assert len(layout.block_rows) == len(layout.elim_blocks) == (T + 1) * d
         for cols, rows in zip(layout.elim_blocks, layout.block_rows):
             assert rows.shape == (d + 1, 2)
             expected = np.zeros((system.shape[0], d))
@@ -245,14 +253,17 @@ class TestAssembleUtpd:
             expected[rows[d]] = 1.0
             assert np.array_equal(dense[:, cols], expected)
 
-    def test_horizon_zero_has_no_lifted_block(self):
+    def test_horizon_zero_lifts_time_zero(self):
+        # Only t = 0 is kept, and it is lifted like any other step: one block
+        # M_0[i, :] per row i.  n = 2 + 3 + 2*2, m = 2 + 2*(4 + 2).
         sys_ = AffineSystem(0.5 * np.eye(2), np.zeros(2))
         problem = InvarianceProblem(sys_, unit_box(2), 0, UtpdParameterization(2), "lgv")
         system = assemble_utpd(problem)
-        # n = 2 + 3 + 1, m = 2 + 4 + 2.
-        assert system.shape == (8, 6)
-        assert system.layout.lifted is None
-        assert system.layout.elim_blocks == ()
+        assert system.shape == (14, 9)
+        assert system.layout.lifted == slice(5, 9)
+        assert [block.tolist() for block in system.layout.elim_blocks] == [[5, 6], [7, 8]]
+        # The box rows of (0, 0), then of (0, 1): lower rows 10, 11, upper 12, 13.
+        assert [rows[-1].tolist() for rows in system.layout.block_rows] == [[10, 12], [11, 13]]
 
     def test_exact_lift_matches_certificate(self):
         # Encoding a triangular zonotope with exact absolute-value lifts is
@@ -268,11 +279,8 @@ class TestAssembleUtpd:
             g = np.triu(0.4 * rng.standard_normal((d, d)))
             np.fill_diagonal(g, rng.uniform(0.05, 0.5, d))
             center = 0.3 * rng.standard_normal(d)
-            i_idx, j_idx = np.triu_indices(d, k=1)
-            aux0 = np.abs(g[i_idx, j_idx])
             powers = np.stack([np.linalg.matrix_power(sys_.A, t) for t in range(T + 1)])
-            lifted = np.abs(powers[1:] @ g)
-            z = system.layout.encode(center, param.pack(g), aux0=aux0, lifted=lifted)
+            z = system.layout.encode(center, param.pack(g), lifted=np.abs(powers @ g))
             viol = certificate_violation(sys_, problem.box, T, Zonotope(center, g))
             slack_min = float(np.min(system.slacks(z)))
             if viol == 0.0:
@@ -290,14 +298,14 @@ class TestAssembleUtpd:
         diag = layout.free.start + problem.parameterization.diag_positions()
         z[diag] = rng.uniform(0.5, 2.0, 3)
         parts = layout.decode(z)
-        back = layout.encode(parts["center"], parts["free"], aux0=parts["aux0"], lifted=parts["lifted"])
+        back = layout.encode(parts["center"], parts["free"], lifted=parts["lifted"])
         assert np.array_equal(back, z)
 
     def test_decode_generators_are_triangular(self):
         sys_ = AffineSystem(0.5 * np.eye(2), np.zeros(2))
         problem = InvarianceProblem(sys_, unit_box(2), 2, UtpdParameterization(2), "lgv")
         layout = assemble_utpd(problem).layout
-        z = layout.encode([0.1, -0.2], [2.0, 3.0, 4.0], aux0=[3.0], lifted=np.ones((2, 2, 2)))
+        z = layout.encode([0.1, -0.2], [2.0, 3.0, 4.0], lifted=np.ones((3, 2, 2)))
         parts = layout.decode(z)
         assert np.array_equal(parts["generators"], [[2.0, 3.0], [0.0, 4.0]])
         assert np.array_equal(parts["center"], [0.1, -0.2])
@@ -375,9 +383,8 @@ class TestImpliedHorizon:
                 else:
                     generators = np.triu(rng.standard_normal((d, d)))
                     np.fill_diagonal(generators, rng.uniform(0.05, 1.0, d))
-                    aux0 = (1.0 + 1e-9) * np.abs(generators[np.triu_indices(d, k=1)]) + 1e-12
-                    lifted = (1.0 + 1e-9) * np.abs(powers[1:] @ generators) + 1e-12 if layout.horizon else None
-                    z_dir = layout.encode(np.zeros(d), param.pack(generators), aux0=aux0, lifted=lifted)
+                    lifted = (1.0 + 1e-9) * np.abs(powers @ generators) + 1e-12
+                    z_dir = layout.encode(np.zeros(d), param.pack(generators), lifted=lifted)
                 z_center = np.zeros(layout.n)
                 z_center[layout.center] = center
                 # The slacks are affine in the generator scale s: b - C z_center - s C z_dir.
@@ -409,11 +416,11 @@ class TestImpliedHorizon:
             for t in range(T + 1):
                 dropped_rows += [2 * d * t + side * d + i for side in (0, 1) for i in range(d) if t >= steps[i]]
         else:
-            for (t, i), rows, cols in zip(np.ndindex(T, d), full.layout.block_rows, full.layout.elim_blocks):
-                if t + 1 >= steps[i]:
+            for (t, i), rows, cols in zip(np.ndindex(T + 1, d), full.layout.block_rows, full.layout.elim_blocks):
+                if t >= steps[i]:
                     dropped_rows += rows.ravel().tolist()
                     dropped_cols += cols.tolist()
-            assert len(cut.layout.elim_blocks) == sum(steps) - d == 9
+            assert len(cut.layout.elim_blocks) == sum(steps) == 12
         rows = np.setdiff1d(np.arange(full.shape[0]), dropped_rows)
         cols = np.setdiff1d(np.arange(full.shape[1]), dropped_cols)
         assert np.array_equal(cut.C.toarray(), full.C.toarray()[np.ix_(rows, cols)])
@@ -428,10 +435,11 @@ class TestImpliedHorizon:
         layout = assemble_utpd(problem, [1, 5, 3]).layout
         z = rng.uniform(0.5, 2.0, layout.n)
         parts = layout.decode(z)
-        assert parts["lifted"].shape == (4, 3, 3)
-        assert np.all(parts["lifted"][:, 0] == 0.0) and np.all(parts["lifted"][2:, 2] == 0.0)
-        assert np.all(parts["lifted"][:, 1] > 0.0) and np.all(parts["lifted"][:2, 2] > 0.0)
-        back = layout.encode(parts["center"], parts["free"], aux0=parts["aux0"], lifted=parts["lifted"])
+        assert parts["lifted"].shape == (5, 3, 3)
+        assert np.all(parts["lifted"][1:, 0] == 0.0) and np.all(parts["lifted"][3:, 2] == 0.0)
+        assert np.all(parts["lifted"][0, 0] > 0.0) and np.all(parts["lifted"][:, 1] > 0.0)
+        assert np.all(parts["lifted"][:3, 2] > 0.0)
+        back = layout.encode(parts["center"], parts["free"], lifted=parts["lifted"])
         assert np.array_equal(back, z)
 
     def test_rejects_bad_row_steps(self):
@@ -484,15 +492,14 @@ class TestWarmStart:
 
     @staticmethod
     def midpoint_start(problem, system):
-        # z0: box midpoint, initial_free(), auxiliaries padded by 10 diag_floor.
+        # z0: box midpoint, initial_free(), lifted rows |A^t G| padded by 10 diag_floor.
         layout, param = system.layout, problem.parameterization
         if layout.kind == "sfg":
             return layout.encode(problem.box.midpoint, param.initial_free())
         pad = 10.0 * param.diag_floor
         g0 = param.unpack(param.initial_free())
-        powers = np.stack([np.linalg.matrix_power(problem.system.A, t) for t in range(1, layout.horizon + 1)])
-        return layout.encode(problem.box.midpoint, param.initial_free(), aux0=np.full(3, pad),
-                             lifted=np.abs(powers @ g0).reshape(layout.horizon, 3, 3) + pad)
+        powers = np.stack([np.linalg.matrix_power(problem.system.A, t) for t in range(layout.horizon + 1)])
+        return layout.encode(problem.box.midpoint, param.initial_free(), lifted=np.abs(powers @ g0) + pad)
 
     def test_keeps_half_the_slack_of_the_midpoint_start(self):
         # Half the largest step along the ray: every slack keeps at least half

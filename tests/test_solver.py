@@ -333,13 +333,17 @@ def check_block_structure(system):
     recorded[g, :, :, support[g, slot]] = coef[g, :, :, slot]
     kept = np.setdiff1d(np.arange(layout.n), blocks)
     assert np.array_equal(c[rows.transpose(1, 2, 0)][..., kept], recorded[..., kept])
+    assert np.all(system.C.data != 0.0)                   # the zeros of A^0 = I are not stored
 
 
 class TestStructuredNewtonStep:
     """The closed-form block elimination against a dense solve of the full
     ``H = C^T diag(D) C - hess_f``."""
 
-    def systems(self, cases=((1, 1, None), (1, 4, None), (3, 1, None), (3, 5, None), (4, 3, None))):
+    # Horizon 0 keeps only the blocks M_0[i, :].
+    CASES = ((1, 1, None), (1, 4, None), (2, 0, None), (3, 0, None), (3, 1, None), (3, 5, None), (4, 3, None))
+
+    def systems(self, cases=CASES):
         for d, horizon, steps in cases:
             main = lifted_system(d, horizon, 10 * d + horizon, steps)
             free = np.arange(main.layout.free.start, main.layout.free.stop)
@@ -361,7 +365,8 @@ class TestStructuredNewtonStep:
 
     def test_matches_dense_solve_with_dropped_blocks(self):
         for system, _ in self.systems(self.CUT_CASES):
-            assert 0 < len(system.layout.elim_blocks) < system.layout.horizon * system.layout.dim
+            layout = system.layout
+            assert len(layout.elim_blocks) == sum(layout.row_steps) < (layout.horizon + 1) * layout.dim
         self.check_against_dense(self.systems(self.CUT_CASES), np.random.default_rng(5))
 
     def test_layout_records_the_block_structure(self):
@@ -369,6 +374,15 @@ class TestStructuredNewtonStep:
         # rows outside the blocks from C; the dense C must agree with it.
         for system, _ in [*self.systems(), *self.systems(self.CUT_CASES)]:
             check_block_structure(system)
+
+    def test_schur_complement_keeps_only_the_center_and_generators(self):
+        # The only rows outside the blocks are the d diagonal-floor rows (and
+        # phase 1's bound on s), so every other column is eliminated.
+        for system, free in [*self.systems(), *self.systems(self.CUT_CASES)]:
+            d = system.layout.dim
+            n_keep = d + d * (d + 1) // 2
+            expected = np.append(np.arange(n_keep), free) if system.layout.kind == "phase1" else np.arange(n_keep)
+            assert np.array_equal(solver_for(system).kept, expected)
 
     def check_against_dense(self, systems, rng):
         for system, free in systems:
