@@ -32,7 +32,6 @@ from .files import (
     write_json,
 )
 from .invariance import CERTIFICATE_TOL, certificate_violation
-from .numerics import is_finite_positive
 from .oracle import mc_volume, simulate_invariance
 from .solver import INFEASIBLE, OPTIMAL, SolverOptions, solve_invariance
 from .sysgen import DEFAULT_DT, DEFAULT_HORIZON, TrialSpec, derive_trial_seed, make_trial
@@ -94,14 +93,17 @@ def _emit(payload: dict, output_path: str | None) -> None:
         write_json(output_path, payload)
 
 
-def _check_time_limit(args) -> None:
-    """Reject a ``--time-limit`` that is not a finite positive number, before anything runs."""
-    if args.time_limit is not None and not is_finite_positive(args.time_limit):
-        raise ZonoinvError(f"--time-limit must be a finite positive number of seconds, got {args.time_limit!r}")
+def _check_flag(flag: str, value, *, zero_ok: bool = False) -> None:
+    """Reject a number given to ``flag`` that is not finite and above zero
+    (at least zero with ``zero_ok``), before anything runs; None (the flag
+    not given) passes."""
+    if value is None or (math.isfinite(value) and (value >= 0.0 if zero_ok else value > 0.0)):
+        return
+    raise ZonoinvError(f"{flag} must be a finite number {'>=' if zero_ok else '>'} 0, got {value!r}")
 
 
 def _cmd_solve(args) -> int:
-    _check_time_limit(args)
+    _check_flag("--time-limit", args.time_limit)
     problem, options, _ = load_problem(args.problem)
     if options is None:
         options = SolverOptions()
@@ -122,7 +124,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    _check_time_limit(args)
+    _check_flag("--time-limit", args.time_limit)
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
@@ -159,6 +161,7 @@ def _cmd_volume(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _check_flag("--tol", args.tol, zero_ok=True)
     problem, _, _ = load_problem(args.problem)
     zonotope = load_solution_zonotope(args.solution)
     cert_violation = certificate_violation(problem.system, problem.box, problem.horizon, zonotope)

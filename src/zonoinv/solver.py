@@ -20,14 +20,17 @@ batch takes 6-7 stages and 7-42 Newton steps, phase 1 included (the most at
 
 The operators of a solve are built once per :func:`maximize` call, in
 :class:`_KKTSolver`: ``C``, its transpose and the block structure below, so
-each Newton step is arithmetic on fixed arrays.  Newton systems are solved
-by Cholesky (LAPACK ``potrf``/``potrs``).  In the lifted triangular
-systems each (time step, state row) block of d lifted variables touches
-only its recorded rows (one aux-row pair per variable, one box-row pair
-shared by all), so its Newton block is diagonal plus rank one and
-Sherman-Morrison inverts it in O(d); the Schur complement onto the
-d + d(d+1)/2 "kept" variables, the center and the packed triangle (plus
-phase 1's s), is formed in closed form from the recorded rows.
+each Newton step is arithmetic on fixed arrays.  Every Newton system is
+solved one way: eliminate the blocks of lifted variables, factor the Schur
+complement on the "kept" variables by Cholesky (LAPACK ``potrf``/
+``potrs``), and back-substitute.  In the lifted triangular systems each
+(time step, state row) block of d lifted variables touches only its
+recorded rows (one aux-row pair per variable, one box-row pair shared by
+all), so its Newton block is diagonal plus rank one and Sherman-Morrison
+inverts it in O(d); the Schur complement onto the d + d(d+1)/2 kept
+variables, the center and the packed triangle (plus phase 1's s), is
+formed in closed form from the recorded rows.  A scaled-template system
+has no blocks: every variable is kept, and the step is the dense solve.
 
 An ``infeasible`` status comes from one of two places.  Before anything
 is assembled, :func:`solve_invariance` runs the exact interval test of
@@ -63,7 +66,7 @@ from .invariance import (
     presolve,
     warm_start_point,
 )
-from .numerics import is_finite_positive, power_chain
+from .numerics import as_vector, is_finite_positive, power_chain
 from .parameterizations import make_objective
 from .zonotope import Zonotope
 
@@ -185,75 +188,67 @@ class _KKTSolver:
 
     ``D = lambda / s`` (duals over slacks, both positive) is the row scaling
     of the primal-dual iteration, so ``H`` is positive definite at strictly
-    feasible points (``C`` has full column rank by construction).  Without
-    elimination blocks ``C`` is dense and ``H`` is formed whole.
+    feasible points (``C`` has full column rank by construction).
 
     One solver is built per :func:`maximize` call and holds every operator
-    of the solve: ``C``, its transpose ``CT`` for the products ``C^T v`` of
-    each step (a view of a dense ``C``, a CSR copy of a sparse one), and the
+    of the solve: ``C`` and its transpose ``CT`` for the products of each
+    step (dense without elimination blocks, CSR with them), the rows
+    outside every block on the kept columns as a dense ``C_0``, and the
     block structure below, so a Newton step is arithmetic on fixed arrays.
 
-    With blocks (the lifted triangular systems), the variables of block b
-    appear only in its recorded rows (``VariableLayout.block_rows``): pair
-    j < d holds -1 on variable j, the last pair holds +1 on every variable.
-    So ``H_bb = diag(a) + beta 11^T``, with ``a_j`` the sum of D over pair j
-    and ``beta`` the sum over the last pair, and Sherman-Morrison applies its
-    inverse in O(d).  Variable j couples to the kept variables through
+    Every step forms ``H_kept = C_0^T D_0 C_0 - hess_f``, adds the Schur
+    terms of the blocks, factors it once and back-substitutes into the
+    blocks (Boyd & Vandenberghe, *Convex Optimization*, App. C.4: block
+    elimination with the matrix inversion lemma).  A system without blocks
+    (``sfg``, and its phase 1) keeps every column and ``C_0`` is all of
+    ``C``, so this is the dense solve.
+
+    In the lifted triangular systems the variables of block b appear only
+    in its recorded rows (``VariableLayout.block_rows``): pair j < d holds
+    -1 on variable j, the last pair holds +1 on every variable.  So
+    ``H_bb = diag(a) + beta 11^T``, with ``a_j`` the sum of D over pair j
+    and ``beta`` the sum over the last pair, and Sherman-Morrison applies
+    its inverse in O(d).  Variable j couples to the kept variables through
     ``c - g_j``, where ``g_j`` and ``c`` are the D-weighted sums of the kept
     coefficients of pair j and of the last pair.  Each pair touches a few
-    kept columns (its support), so the Schur complement onto the kept
-    variables is formed in closed form and scattered in one ``bincount``:
-    ``C_0^T D_0 C_0`` over the rows outside every block (the d
+    kept columns (its support, from the layout's ``block_support`` and
+    ``block_coef``), so the Schur terms, a small dense term per pair and the
+    rank-one coupling between the pairs of each block, are formed in closed
+    form and scattered in one ``bincount``.  ``C_0`` holds the d
     diagonal-floor rows, which in phase 1 also hold s, and phase 1's bound
-    row), a small dense term per pair over its support, the rank-one
-    coupling between the pairs of each block, and last ``-hess_f`` on the
-    objective's variables (Boyd & Vandenberghe, *Convex Optimization*,
-    App. C.4: block elimination with the matrix inversion lemma).  The supports and coefficients are the
-    layout's ``block_support`` and ``block_coef``; of ``C`` only the rows
-    outside the blocks are read.
+    row; of the block rows of ``C`` nothing is read.
     """
 
-    def __init__(self, c_matrix, layout: VariableLayout):
-        self.C = c_matrix
-        self.CT = c_matrix.T.tocsr() if scipy.sparse.issparse(c_matrix) else c_matrix.T
+    def __init__(self, system: LinearInequalitySystem):
+        layout = system.layout
         self.n = n = layout.n
         self.free = layout.free
-        self.n_blocks = len(layout.elim_blocks)
-        free_idx = np.arange(layout.free.start, layout.free.stop)
-        if not layout.elim_blocks:
-            # Row-major positions of the (free, free) entries of H.
-            self.free_flat = (free_idx[:, np.newaxis] * n + free_idx).ravel()
-            return
-
-        self.blocks = np.array(layout.elim_blocks, dtype=np.intp)   # (B, d)
-        rows = np.array(layout.block_rows, dtype=np.intp)           # (B, d + 1, 2)
-        n_blocks, blk = self.blocks.shape
-        m = c_matrix.shape[0]
+        blk = layout.dim
+        self.blocks = np.array(layout.elim_blocks, dtype=np.intp).reshape(-1, blk)   # (B, d)
+        rows = np.array(layout.block_rows, dtype=np.intp).reshape(-1, blk + 1, 2)    # (B, d + 1, 2)
+        self.n_blocks = n_blocks = len(self.blocks)
+        # Dense BLAS without blocks; sparse algebra only pays off for the lifted systems.
+        self.C = system.C if n_blocks else system.C.toarray()
+        self.CT = self.C.T.tocsr() if n_blocks else self.C.T
         is_kept = np.ones(n, dtype=bool)
         is_kept[self.blocks] = False
         self.kept = np.flatnonzero(is_kept)
         n_keep = self.kept.size
         kept_pos = np.full(n, -1, dtype=np.intp)
         kept_pos[self.kept] = np.arange(n_keep)
-        free_kept = kept_pos[free_idx]
+        free_kept = kept_pos[layout.free]
         if np.any(free_kept < 0):
             raise ValueError("objective variables must not be eliminated")
-        stride = n_keep + 1              # Schur entries are scattered into (n_keep + 1)^2
-
-        # C_0^T D_0 C_0 as one term per pair of stored entries in a row
-        # outside the blocks; those rows touch kept columns only.
-        outside = np.ones(m, dtype=bool)
+        self.free_kept = slice(free_kept[0], free_kept[-1] + 1)    # free is contiguous among the kept
+        outside = np.ones(system.shape[0], dtype=bool)
         outside[rows.ravel()] = False
-        outside_rows = np.flatnonzero(outside)
-        entries = c_matrix[outside_rows].tocoo()
-        row0, col0, val0 = outside_rows[entries.row], kept_pos[entries.col], entries.data
-        per_row = np.bincount(row0, minlength=m)
-        sizes = per_row[row0]
-        left = np.repeat(np.arange(row0.size), sizes)
-        first = np.cumsum(per_row) - per_row                       # index in row0 of each row's first entry
-        right = first[row0[left]] + np.arange(left.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        self.gram_rows = row0[left]
-        self.gram_vals = val0[left] * val0[right]
+        self.outside = np.flatnonzero(outside)
+        c_0 = self.C[self.outside][:, self.kept]
+        # C-contiguous like a dense C: in another memory order BLAS takes another
+        # kernel, and the sfg iterates would move at round-off.
+        self.c_0 = np.ascontiguousarray(c_0.toarray() if n_blocks else c_0)
+        if not n_blocks:
+            return
 
         # Row pair g of every block: (d + 1, 2B), first rows then second rows.
         # Its kept coefficients are stored densely over the pair's support,
@@ -272,14 +267,13 @@ class _KKTSolver:
         ).ravel()
         box = self.support[-1]
         # Flat targets in (n_keep + 1)^2 of the Schur terms, in the order
-        # ``_solve`` concatenates their values; -hess_f comes last.
+        # ``_solve`` concatenates their values.
+        stride = n_keep + 1
         self.schur_flat = np.concatenate([
-            col0[left] * stride + col0[right],
             (self.support[:, :, np.newaxis] * stride + self.support[:, np.newaxis, :]).ravel(),
             (self.cross[:, np.newaxis] * stride + self.cross).ravel(),
             (self.cross[:, np.newaxis] * stride + box).ravel(),
             (self.cross[:, np.newaxis] + box * stride).ravel(),
-            (free_kept[:, np.newaxis] * stride + free_kept).ravel(),
         ])
 
     def step(self, d_row: np.ndarray, neg_hess_free: np.ndarray, rhs: np.ndarray, reg_floor: float):
@@ -302,11 +296,10 @@ class _KKTSolver:
                 shift = reg_floor * (1.0 + float(np.max(squares @ d_row, initial=1.0)))
 
     def _solve(self, d_row, neg_hess_free, rhs, shift):
-        if not self.n_blocks:
-            h = (self.C * d_row[:, np.newaxis]).T @ self.C
-            h.flat[self.free_flat] += neg_hess_free.ravel()
-            r_kept = rhs
-        else:
+        h = (self.c_0 * d_row[self.outside][:, np.newaxis]).T @ self.c_0
+        h[self.free_kept, self.free_kept] += neg_hess_free
+        r_kept = rhs[self.kept]
+        if self.n_blocks:
             n_b, n_keep = self.n_blocks, self.kept.size
             d_pair = d_row[self.pair_rows]
             a = d_pair[:-1, :n_b] + d_pair[:-1, n_b:] + shift     # (d, B)
@@ -327,21 +320,13 @@ class _KKTSolver:
             w = np.bincount(self.cross_flat, (ell[:, :, np.newaxis] * pair_sum[:-1]).ravel(),
                             minlength=n_b * (self.cross.size + 1)).reshape(n_b, -1)[:, :-1]
             mixed = (w.T @ (rho[:, np.newaxis] * pair_sum[-1])).ravel()
-            values = np.concatenate([
-                d_row[self.gram_rows] * self.gram_vals,
-                pair_terms.ravel(),
-                (w.T @ (sigma[:, np.newaxis] * w)).ravel(),
-                mixed,
-                mixed,
-                neg_hess_free.ravel(),
-            ])
-            h = np.bincount(self.schur_flat, values, minlength=(n_keep + 1) ** 2)
-            h = h.reshape(n_keep + 1, n_keep + 1)[:n_keep, :n_keep]
+            values = np.concatenate([pair_terms.ravel(), (w.T @ (sigma[:, np.newaxis] * w)).ravel(), mixed, mixed])
+            h += np.bincount(self.schur_flat, values, minlength=(n_keep + 1) ** 2).reshape(n_keep + 1, -1)[:-1, :-1]
 
             r_blocks = rhs[self.blocks.T]                         # (d, B)
             y = inverse(r_blocks)
             scale = np.vstack([y, -y.sum(axis=0)])
-            r_kept = rhs[self.kept] + np.bincount(
+            r_kept += np.bincount(
                 self.support.ravel(), np.einsum("gb,gbs->gs", scale, pair_sum).ravel(), minlength=n_keep + 1
             )[:n_keep]
 
@@ -353,13 +338,11 @@ class _KKTSolver:
         delta_kept, info = _potrs(factor, r_kept, lower=True)
         if info:
             raise np.linalg.LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
-        if not self.n_blocks:
-            return delta_kept
-
-        proj = np.einsum("gbs,gs->gb", pair_sum, np.append(delta_kept, 0.0)[self.support])
         delta = np.empty(self.n)
         delta[self.kept] = delta_kept
-        delta[self.blocks.T] = inverse(r_blocks - (proj[-1] - proj[:-1]))
+        if self.n_blocks:
+            proj = np.einsum("gbs,gs->gb", pair_sum, np.append(delta_kept, 0.0)[self.support])
+            delta[self.blocks.T] = inverse(r_blocks - (proj[-1] - proj[:-1]))
         return delta
 
 
@@ -417,19 +400,18 @@ def maximize(
     :class:`~zonoinv.parameterizations.Objective` does: ``value(free)``
     returns its value and ``value_grad_hess(free)`` its value, gradient and
     dense Hessian.  Every other variable has zero gradient and Hessian.
+    A start point of the wrong length or with a non-finite entry raises
+    :class:`~zonoinv.errors.DimensionError`.
     """
     options = options or SolverOptions()
     t0 = time.perf_counter()
-    z = np.array(x0, dtype=float)
+    layout = system.layout
+    z = as_vector(x0, size=layout.n, name="x0").copy()
     slacks = system.slacks(z)
     if np.min(slacks) <= 0.0:
         raise DomainError("x0 is not strictly feasible")
 
-    # Systems without elimination blocks have dense rows and run on dense
-    # BLAS; sparse algebra only pays off for the lifted triangular systems.
-    layout = system.layout
-    c_op = system.C if layout.elim_blocks else system.C.toarray()
-    kkt = _KKTSolver(c_op, layout)
+    kkt = _KKTSolver(system)
     free = layout.free
     mu = options.mu0
     mu_min = options.gap_tol / (10.0 * slacks.size)
@@ -561,18 +543,19 @@ def phase1_feasible_point(
     point has every slack above the margin.  Any other end of the auxiliary
     solve without such a point raises :class:`Phase1Stopped`.  A warm-start
     candidate short-circuits the auxiliary solve when its worst slack
-    already clears the margin.
+    already clears the margin; one of the wrong length or with a non-finite
+    entry raises :class:`~zonoinv.errors.DimensionError`.
     """
     options = options or SolverOptions()
     margin = options.phase1_margin
+    n = system.shape[1]
+    z0 = np.zeros(n)
     if warm_start is not None:
-        warm = np.asarray(warm_start, dtype=float)
-        if float(np.min(system.slacks(warm))) > margin:
-            return warm, 0
+        z0 = as_vector(warm_start, size=n, name="warm_start")
+        if float(np.min(system.slacks(z0))) > margin:
+            return z0, 0
 
     aux = _phase1_system(system)
-    n = system.shape[1]
-    z0 = np.zeros(n) if warm_start is None else np.asarray(warm_start, dtype=float)
     worst = float(np.max(system.C @ z0 - system.b))
     s0 = max(worst + 1.0, -0.5)
     x0 = np.concatenate([z0, [s0]])

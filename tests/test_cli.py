@@ -214,6 +214,19 @@ class TestCheck:
         assert report["pass"] is False
         assert code == 1
 
+    def test_bad_tolerance_exit_one_names_flag(self, tmp_path, capsys):
+        # A certified solution: only the malformed --tol can fail the check.
+        problem_path = tmp_path / "p.json"
+        write_json(problem_path, feasible_problem_dict())
+        solve_out = tmp_path / "result.json"
+        assert run_cli(capsys, "solve", str(problem_path), "--output", str(solve_out))[0] == 0
+        for value in ("nan", "inf", "-1"):
+            code, out, err = run_cli(capsys, "check", str(problem_path), str(solve_out), "--tol", value)
+            assert code == 1 and out == ""
+            assert "--tol" in err
+        code, out, _ = run_cli(capsys, "check", str(problem_path), str(solve_out), "--tol", "0")
+        assert json.loads(out)["certificate_ok"] is True
+
     def test_solution_without_zonotope(self, tmp_path, capsys):
         problem_path = tmp_path / "p.json"
         write_json(problem_path, feasible_problem_dict())

@@ -10,7 +10,7 @@ import pytest
 
 from oracles import lp_vertex_optimum
 from zonoinv import solver
-from zonoinv.errors import DomainError, SchemaError
+from zonoinv.errors import DimensionError, DomainError, SchemaError
 from zonoinv.invariance import (
     AffineSystem,
     InvarianceProblem,
@@ -223,6 +223,14 @@ class TestPhase1:
         assert z is not None
         assert float(np.min(system.slacks(z))) > 0.0
 
+    def test_phase1_rejects_malformed_warm_start(self):
+        problem = make_problem([[0.8]], [0.0], unit_box(1), 5, SfgParameterization([[1.0]]), "lgv")
+        system = assemble(problem)
+        with pytest.raises(DimensionError, match="warm_start must have length 2"):
+            phase1_feasible_point(system, np.zeros(3))
+        with pytest.raises(DimensionError, match="warm_start contains non-finite"):
+            phase1_feasible_point(system, np.array([0.0, np.nan]))
+
     def test_phase1_direct_call_infeasible(self):
         problem = make_problem([[0.5]], [2.0], unit_box(1), 10, SfgParameterization([[1.0]]), "lgv")
         system = assemble(problem)
@@ -239,6 +247,17 @@ class TestMaximize:
         bad = system.layout.encode([5.0], [1.0])
         with pytest.raises(DomainError):
             maximize(system, objective, bad)
+
+    def test_rejects_malformed_start(self):
+        # Checked before any arithmetic, so neither reads as a solver failure.
+        problem = make_problem([[0.5]], [0.0], unit_box(1), 5, SfgParameterization([[1.0]]), "lgv")
+        system = assemble(problem)
+        objective = make_objective("lgv", problem.parameterization)
+        start = warm_start_point(problem, system)
+        with pytest.raises(DimensionError, match="x0 must have length 2"):
+            maximize(system, objective, start[:1])
+        with pytest.raises(DimensionError, match="x0 contains non-finite"):
+            maximize(system, objective, np.array([np.nan, start[1]]))
 
     def test_stage_objectives_nondecreasing(self):
         problem = make_problem(
@@ -299,16 +318,20 @@ class TestMaximize:
         assert result.iterations > 0
 
 
-def lifted_system(d, horizon, seed, steps=None):
+def random_problem(d, horizon, seed, param):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d))
     a *= 0.8 / np.max(np.abs(np.linalg.eigvals(a)))
-    problem = make_problem(a, 0.05 * rng.standard_normal(d), unit_box(d), horizon, UtpdParameterization(d), "lgv")
-    return assemble_utpd(problem, steps)  # every horizon step by default, so the lifted blocks stay
+    return make_problem(a, 0.05 * rng.standard_normal(d), unit_box(d), horizon, param, "lgv")
+
+
+def lifted_system(d, horizon, seed, steps=None):
+    # Every horizon step by default, so the lifted blocks stay.
+    return assemble_utpd(random_problem(d, horizon, seed, UtpdParameterization(d)), steps)
 
 
 def solver_for(system):
-    return _KKTSolver(system.C, system.layout)
+    return _KKTSolver(system)
 
 
 def check_block_structure(system):
@@ -338,7 +361,8 @@ def check_block_structure(system):
 
 class TestStructuredNewtonStep:
     """The closed-form block elimination against a dense solve of the full
-    ``H = C^T diag(D) C - hess_f``."""
+    ``H = C^T diag(D) C - hess_f``, and the same step on systems without
+    blocks, where it is the dense solve."""
 
     # Horizon 0 keeps only the blocks M_0[i, :].
     CASES = ((1, 1, None), (1, 4, None), (2, 0, None), (3, 0, None), (3, 1, None), (3, 5, None), (4, 3, None))
@@ -351,6 +375,14 @@ class TestStructuredNewtonStep:
             yield _phase1_system(main), np.array([main.layout.n])
 
     @staticmethod
+    def block_free_systems():
+        for d, p, horizon in ((2, 3, 4), (3, 6, 8)):
+            template = np.random.default_rng(p).standard_normal((d, p))
+            main = assemble_sfg(random_problem(d, horizon, 10 * d + p, SfgParameterization(template)))
+            yield main, np.arange(main.layout.free.start, main.layout.free.stop)
+            yield _phase1_system(main), np.array([main.layout.n])
+
+    @staticmethod
     def dense_matrix(system, d_row, neg_hess, free):
         c = system.C.toarray()
         h = (c * d_row[:, np.newaxis]).T @ c
@@ -358,7 +390,7 @@ class TestStructuredNewtonStep:
         return h
 
     def test_matches_dense_solve(self):
-        self.check_against_dense(self.systems(), np.random.default_rng(3))
+        self.check_against_dense([*self.systems(), *self.block_free_systems()], np.random.default_rng(3))
 
     # Per-row cuts: each time step holds a different number of blocks.
     CUT_CASES = ((3, 5, (2, 6, 4)), (4, 3, (4, 1, 2, 3)), (2, 4, (5, 1)))
@@ -384,9 +416,13 @@ class TestStructuredNewtonStep:
             expected = np.append(np.arange(n_keep), free) if system.layout.kind == "phase1" else np.arange(n_keep)
             assert np.array_equal(solver_for(system).kept, expected)
 
+    def test_block_free_systems_keep_every_column(self):
+        for system, _ in self.block_free_systems():
+            assert not system.layout.elim_blocks
+            assert np.array_equal(solver_for(system).kept, np.arange(system.shape[1]))
+
     def check_against_dense(self, systems, rng):
         for system, free in systems:
-            assert system.layout.elim_blocks
             m, n = system.shape
             d_row = np.exp(rng.uniform(-4.0, 4.0, m))
             q = rng.standard_normal((free.size, free.size))
@@ -402,7 +438,7 @@ class TestStructuredNewtonStep:
         # the retry solves H + shift I with shift = reg_floor (1 + peak).
         rng = np.random.default_rng(4)
         reg_floor = 1.0
-        for system, free in self.systems():
+        for system, free in [*self.systems(), *self.block_free_systems()]:
             m, n = system.shape
             d_row = np.exp(rng.uniform(-2.0, 2.0, m))
             c = system.C.toarray()
@@ -442,7 +478,7 @@ class TestDenseFactorizationFailure:
             return potrf(h, **kwargs)
 
         c = system.C.toarray()
-        kkt = _KKTSolver(c, system.layout)
+        kkt = _KKTSolver(system)
         monkeypatch.setattr(solver, "_potrf", counting_potrf, raising=True)
         # reg_floor = 1: the shift is 1 + max diag(C^T C), far below 1e6.
         with pytest.raises(np.linalg.LinAlgError):
@@ -475,8 +511,7 @@ class TestStepSlacks:
         layout = system.layout
         assert bool(layout.elim_blocks) == (kind == "utpd")
         objective = make_objective("lgv", problem.parameterization)
-        c_op = system.C if layout.elim_blocks else system.C.toarray()
-        kkt = _KKTSolver(c_op, layout)
+        kkt = _KKTSolver(system)
         options = SolverOptions()
         z, _ = phase1_feasible_point(system, warm_start_point(problem, system), options)
         slacks = system.slacks(z)
