@@ -1,29 +1,45 @@
 """Primal-dual interior-point solver for concave maximization over ``C z <= b``.
 
 The method follows Waechter & Biegler (Math. Prog. 106, 2006, Sec. 2-3) on
-``C z + s = b`` with slacks ``s > 0`` and duals ``lambda > 0``.  At barrier
-weight ``mu`` each Newton step solves ``(-hess f + C^T diag(lambda / s) C)
-dz = grad f - mu C^T (1 / s)``, whose right-hand side is minus the gradient
-of ``phi_mu(z) = -f(z) - mu * sum(log(b - C z))``.  A backtracking (Armijo)
-line search on ``phi_mu`` keeps the iterates strictly feasible, the slacks
+``C z + s = b`` with slacks ``s > 0`` and duals ``lambda > 0``, and takes
+Mehrotra's predictor-corrector step (Mehrotra, SIAM J. Optim. 2(4), 1992;
+Nocedal & Wright, *Numerical Optimization*, Sec. 14.2, Alg. 14.3) inside
+each barrier stage.  Every Newton step factors ``K = C^T diag(lambda / s) C
+- hess f`` once and solves three kinds of right-hand side with it:
+
+- the predictor ``K dz_a = grad f``, the affine step with no centering.  With
+  ``q = (C dz_a) / s`` its slack step is ``-q s`` and its dual step
+  ``lambda (q - 1)``; the complementarity ``mu_aff`` it reaches at its
+  longest primal and dual steps to the boundary sets the target
+  ``mu_t = min(mu_cur, max(mu, (mu_aff / mu_cur)^3 mu_cur))``, with
+  ``mu_cur = s^T lambda / m``, never below the stage's ``mu``;
+- the corrector ``K dz = grad f - C^T (mu_t / s + lambda q (q - 1))``, which
+  adds the second-order term of the affine step;
+- when the corrector is not a descent direction of ``phi_mu(z) = -f(z) - mu
+  * sum(log(b - C z))``, the plain Newton step ``K dz = grad f - mu C^T (1 /
+  s)``, whose right-hand side is minus the gradient of ``phi_mu``.
+
+A backtracking (Armijo) line search on ``phi_mu``, with the step's
+directional derivative, keeps the iterates strictly feasible, the slacks
 are recomputed as ``b - C z``, and the duals take a fraction-to-boundary
-step toward ``mu / s``.  A stage ends when the scaled dual residual and the
-complementarity error are within ``10 mu``; ``mu`` then falls
+step toward the step's target.  A stage ends when the scaled dual residual
+and the complementarity error are within ``10 mu``; ``mu`` then falls
 superlinearly, and the solve is optimal once ``s^T lambda`` and the scaled
 dual residual are below ``gap_tol``.  The reported KKT residual, the
 larger of ``max |grad f - C^T lambda|`` and ``max lambda_i s_i``, comes
 from that last check's gradient, duals and slacks, so the final point is
 differentiated once.  From the interior start of
 :func:`~zonoinv.invariance.warm_start_point` a solve of the acceptance
-batch takes 6-7 stages and 7-42 Newton steps, phase 1 included (the most at
-(15,16) ``utpd+lgv``).
+batch takes 6-7 stages and 6-31 Newton steps, phase 1 included (the most at
+(10,14) ``utpd+lgv``).
 
 The operators of a solve are built once per :func:`maximize` call, in
 :class:`_KKTSolver`: ``C``, its transpose and the block structure below, so
 each Newton step is arithmetic on fixed arrays.  Every Newton system is
 solved one way: eliminate the blocks of lifted variables, factor the Schur
-complement on the "kept" variables by Cholesky (LAPACK ``potrf``/
-``potrs``), and back-substitute.  In the lifted triangular systems each
+complement on the "kept" variables by Cholesky (LAPACK ``potrf``) once per
+step, and for each right-hand side substitute forward into it, solve
+(``potrs``) and back-substitute into the blocks.  In the lifted triangular systems each
 (time step, state row) block of d lifted variables touches only its
 recorded rows (one aux-row pair per variable, one box-row pair shared by
 all), so its Newton block is diagonal plus rank one and Sherman-Morrison
@@ -196,12 +212,15 @@ class _KKTSolver:
     outside every block on the kept columns as a dense ``C_0``, and the
     block structure below, so a Newton step is arithmetic on fixed arrays.
 
-    Every step forms ``H_kept = C_0^T D_0 C_0 - hess_f``, adds the Schur
-    terms of the blocks, factors it once and back-substitutes into the
-    blocks (Boyd & Vandenberghe, *Convex Optimization*, App. C.4: block
-    elimination with the matrix inversion lemma).  A system without blocks
-    (``sfg``, and its phase 1) keeps every column and ``C_0`` is all of
-    ``C``, so this is the dense solve.
+    :meth:`factor` forms ``H_kept = C_0^T D_0 C_0 - hess_f``, adds the
+    Schur terms of the blocks and factors it, once per Newton step; the
+    ``solve`` it returns takes any right-hand side through block forward
+    substitution, the Cholesky solve and block back-substitution (Boyd &
+    Vandenberghe, *Convex Optimization*, App. C.4: block elimination with
+    the matrix inversion lemma).  So a Mehrotra step's predictor, corrector
+    and fallback cost one factorization.  A system without blocks (``sfg``,
+    and its phase 1) keeps every column and ``C_0`` is all of ``C``, so
+    this is the dense solve.
 
     In the lifted triangular systems the variables of block b appear only
     in its recorded rows (``VariableLayout.block_rows``): pair j < d holds
@@ -214,7 +233,8 @@ class _KKTSolver:
     kept columns (its support, from the layout's ``block_support`` and
     ``block_coef``), so the Schur terms, a small dense term per pair and the
     rank-one coupling between the pairs of each block, are formed in closed
-    form and scattered in one ``bincount``.  ``C_0`` holds the d
+    form and scattered in one ``bincount``; a solve's two substitutions are
+    batched products with the couplings.  ``C_0`` holds the d
     diagonal-floor rows, which in phase 1 also hold s, and phase 1's bound
     row; of the block rows of ``C`` nothing is read.
     """
@@ -243,147 +263,191 @@ class _KKTSolver:
         outside = np.ones(system.shape[0], dtype=bool)
         outside[rows.ravel()] = False
         self.outside = np.flatnonzero(outside)
-        c_0 = self.C[self.outside][:, self.kept]
+        c_0 = self.C[self.outside]
         # C-contiguous like a dense C: in another memory order BLAS takes another
         # kernel, and the sfg iterates would move at round-off.
-        self.c_0 = np.ascontiguousarray(c_0.toarray() if n_blocks else c_0)
+        self.c_0 = np.ascontiguousarray((c_0.toarray() if n_blocks else c_0)[:, self.kept])
         if not n_blocks:
             return
 
         # Row pair g of every block: (d + 1, 2B), first rows then second rows.
         # Its kept coefficients are stored densely over the pair's support,
-        # padded with the dummy column n_keep.
+        # padded with the dummy column n_keep, blocks last: (d + 1, w, B), as
+        # v + u on the first row and v - u on the second.  The aux and box
+        # pairs bound the same expression from both sides, so v is zero
+        # except on phase 1's s, which enters both rows.
         self.pair_rows = rows.transpose(1, 2, 0).reshape(blk + 1, 2 * n_blocks)
-        support = layout.block_support
-        self.support = np.where(support >= 0, kept_pos[support], n_keep)
-        self.coef = layout.block_coef.reshape(blk + 1, 2 * n_blocks, support.shape[1])
-        self.coef_t = np.ascontiguousarray(self.coef.transpose(0, 2, 1))
-        # Kept columns touched by the variable pairs, and the slot of each
-        # padded support entry of each block in a (B, |cross| + 1) array.
-        self.cross = np.setdiff1d(self.support[:blk], [n_keep])
-        slots = np.searchsorted(self.cross, self.support[:blk])
-        self.cross_flat = (
-            np.arange(n_blocks)[np.newaxis, :, np.newaxis] * (self.cross.size + 1) + slots[:, np.newaxis, :]
-        ).ravel()
-        box = self.support[-1]
+        support = np.where(layout.block_support >= 0, kept_pos[layout.block_support], n_keep)
+        first, second = layout.block_coef.transpose(1, 0, 3, 2)
+        self.coef_u = 0.5 * (first - second)
+        coef_v = 0.5 * (first + second)
+        self.coef_v = coef_v if coef_v.any() else None
+        # Kept columns touched by the variable pairs, and the 0/1 matrix that
+        # sums the padded support entries of the variable pairs onto them.
+        var_pairs = support[:blk]
+        self.cross = np.unique(var_pairs[var_pairs < n_keep])
+        slots = np.searchsorted(self.cross, var_pairs).ravel()
+        on = slots < self.cross.size
+        self.cross_sum = scipy.sparse.csc_matrix(
+            (np.ones(on.sum()), slots[on], np.append(0, np.cumsum(on))), shape=(self.cross.size, slots.size)
+        )
+        box = support[-1]
         # Flat targets in (n_keep + 1)^2 of the Schur terms, in the order
-        # ``_solve`` concatenates their values.
+        # ``_factor`` concatenates their values.
         stride = n_keep + 1
         self.schur_flat = np.concatenate([
-            (self.support[:, :, np.newaxis] * stride + self.support[:, np.newaxis, :]).ravel(),
-            (self.cross[:, np.newaxis] * stride + self.cross).ravel(),
-            (self.cross[:, np.newaxis] * stride + box).ravel(),
+            (support[:, :, np.newaxis] * stride + support[:, np.newaxis, :]).ravel(),
+            (self.cross[:, np.newaxis] * stride + np.append(self.cross, box)).ravel(),
             (self.cross[:, np.newaxis] + box * stride).ravel(),
         ])
+        # Variable j of a block couples to the kept columns of its aux pair
+        # and of the box pair: by kept position for the forward substitution,
+        # by column of z (dummy n) for the back substitution.
+        self.var_support = np.hstack([support[:blk], np.repeat(support[-1:], blk, axis=0)])
+        self.var_columns = np.append(self.kept, n)[self.var_support]
 
-    def step(self, d_row: np.ndarray, neg_hess_free: np.ndarray, rhs: np.ndarray, reg_floor: float):
-        """Solve ``H delta = rhs``; returns (delta, rhs . delta).
+    def factor(self, d_row: np.ndarray, neg_hess_free: np.ndarray, reg_floor: float):
+        """Factor ``H`` once; returns ``solve(rhs)``, which returns ``H^-1 rhs``.
 
         Retries once with a diagonal shift of ``reg_floor * (1 + peak)``,
-        ``peak`` the largest entry of ``C^T D C``, if a factorization fails,
+        ``peak`` the largest entry of ``C^T D C``, if the factorization fails,
         then raises :class:`numpy.linalg.LinAlgError`.
         """
-        shift = 0.0
-        for attempt in range(2):
-            try:
-                delta = self._solve(d_row, neg_hess_free, rhs, shift)
-                return delta, float(rhs @ delta)
-            except np.linalg.LinAlgError:
-                if attempt == 1:
-                    raise
-                # C^T D C is positive semidefinite: its largest entry is on the diagonal.
-                squares = self.CT.power(2) if scipy.sparse.issparse(self.CT) else self.CT**2
-                shift = reg_floor * (1.0 + float(np.max(squares @ d_row, initial=1.0)))
+        try:
+            return self._factor(d_row, neg_hess_free, 0.0)
+        except np.linalg.LinAlgError:
+            # C^T D C is positive semidefinite: its largest entry is on the diagonal.
+            squares = self.CT.power(2) if scipy.sparse.issparse(self.CT) else self.CT**2
+            shift = reg_floor * (1.0 + float(np.max(squares @ d_row, initial=1.0)))
+            return self._factor(d_row, neg_hess_free, shift)
 
-    def _solve(self, d_row, neg_hess_free, rhs, shift):
+    def _factor(self, d_row, neg_hess_free, shift):
         h = (self.c_0 * d_row[self.outside][:, np.newaxis]).T @ self.c_0
         h[self.free_kept, self.free_kept] += neg_hess_free
-        r_kept = rhs[self.kept]
         if self.n_blocks:
-            n_b, n_keep = self.n_blocks, self.kept.size
+            n_b, n_keep, n_cross = self.n_blocks, self.kept.size, self.cross.size
             d_pair = d_row[self.pair_rows]
-            a = d_pair[:-1, :n_b] + d_pair[:-1, n_b:] + shift     # (d, B)
-            if not np.all(a > 0.0):
+            d_plus = d_pair[:, :n_b] + d_pair[:, n_b:]             # (d + 1, B)
+            d_minus = d_pair[:, :n_b] - d_pair[:, n_b:]
+            a = d_plus[:-1] + shift
+            if not (a > 0.0).all():
                 raise np.linalg.LinAlgError("elimination block is not positive definite")
-            beta = d_pair[-1, :n_b] + d_pair[-1, n_b:]
+            beta = d_plus[-1]
             ell = 1.0 / a
-            rho = 1.0 / (1.0 + beta * ell.sum(axis=0))
+            ell_sum = ell.sum(axis=0)
+            rho = 1.0 / (1.0 + beta * ell_sum)
             sigma = beta * rho
-
-            def inverse(r):  # H_bb^-1 = diag(ell) - sigma ell ell^T, every block at once
-                return ell * (r - sigma * (ell * r).sum(axis=0))
-
-            weighted = d_pair[:, :, np.newaxis] * self.coef
-            pair_sum = weighted[:, :n_b] + weighted[:, n_b:]      # g_j for j < d, then c
-            lam = np.vstack([ell, ell.sum(axis=0) * rho])
-            pair_terms = self.coef_t @ weighted - pair_sum.transpose(0, 2, 1) @ (lam[:, :, np.newaxis] * pair_sum)
-            w = np.bincount(self.cross_flat, (ell[:, :, np.newaxis] * pair_sum[:-1]).ravel(),
-                            minlength=n_b * (self.cross.size + 1)).reshape(n_b, -1)[:, :-1]
-            mixed = (w.T @ (rho[:, np.newaxis] * pair_sum[-1])).ravel()
-            values = np.concatenate([pair_terms.ravel(), (w.T @ (sigma[:, np.newaxis] * w)).ravel(), mixed, mixed])
+            lam = np.concatenate([ell, (ell_sum * rho)[np.newaxis]])
+            # Pair g's D-weighted coefficient sum is D- u + D+ v (g_j for j < d,
+            # then c), and its Schur term, the D-weighted Gram of its two rows
+            # minus lam (D- u + D+ v)(...)^T, is (D+ - lam D-^2) u u^T plus, where
+            # v is not zero, (1 - lam D+)(p v^T + v p^T) with p = D- u + D+ v / 2.
+            pair_sum = self.coef_u * d_minus[:, np.newaxis, :]      # (d + 1, w, B)
+            pair_terms = (self.coef_u * (d_plus - lam * d_minus**2)[:, np.newaxis, :]) @ self.coef_u.transpose(0, 2, 1)
+            if self.coef_v is not None:
+                half = self.coef_v * (0.5 * d_plus)[:, np.newaxis, :]
+                shared = ((pair_sum + half) * (1.0 - lam * d_plus)[:, np.newaxis, :]) @ self.coef_v.transpose(0, 2, 1)
+                pair_terms += shared + shared.transpose(0, 2, 1)
+                pair_sum += 2.0 * half
+            w = self.cross_sum @ (ell[:, np.newaxis, :] * pair_sum[:-1]).reshape(-1, n_b)   # (|cross|, B)
+            cross_terms = w @ np.hstack([(sigma * w).T, (rho * pair_sum[-1]).T])
+            values = np.concatenate([pair_terms.ravel(), cross_terms.ravel(), cross_terms[:, n_cross:].ravel()])
             h += np.bincount(self.schur_flat, values, minlength=(n_keep + 1) ** 2).reshape(n_keep + 1, -1)[:-1, :-1]
-
-            r_blocks = rhs[self.blocks.T]                         # (d, B)
-            y = inverse(r_blocks)
-            scale = np.vstack([y, -y.sum(axis=0)])
-            r_kept += np.bincount(
-                self.support.ravel(), np.einsum("gb,gbs->gs", scale, pair_sum).ravel(), minlength=n_keep + 1
-            )[:n_keep]
-
+            # Minus the coupling of variable j to the kept columns, g_j - c, on var_support: (d, 2w, B).
+            coupling = np.concatenate([pair_sum[:-1], np.broadcast_to(-pair_sum[-1], pair_sum[:-1].shape)], axis=1)
+            ell_sigma = ell * sigma
         if shift:
             h[np.diag_indices_from(h)] += shift
         factor, info = _potrf(h, lower=True, clean=False)
         if info:
             raise np.linalg.LinAlgError(f"Cholesky factorization failed (LAPACK info {info})")
-        delta_kept, info = _potrs(factor, r_kept, lower=True)
-        if info:
-            raise np.linalg.LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
-        delta = np.empty(self.n)
-        delta[self.kept] = delta_kept
-        if self.n_blocks:
-            proj = np.einsum("gbs,gs->gb", pair_sum, np.append(delta_kept, 0.0)[self.support])
-            delta[self.blocks.T] = inverse(r_blocks - (proj[-1] - proj[:-1]))
-        return delta
+        if not self.n_blocks:
+            return lambda rhs: _cholesky_solve(factor, rhs)
+
+        def inverse(r):  # H_bb^-1 = diag(ell) - sigma ell ell^T, every block at once
+            scaled = ell * r
+            return scaled - ell_sigma * scaled.sum(axis=0)
+
+        def solve(rhs):
+            r_blocks = rhs[self.blocks.T]                         # (d, B)
+            forward = (coupling @ inverse(r_blocks)[:, :, np.newaxis]).ravel()
+            r_kept = rhs[self.kept] + np.bincount(self.var_support.ravel(), forward, minlength=n_keep + 1)[:n_keep]
+            delta = np.zeros(self.n + 1)
+            delta[self.kept] = _cholesky_solve(factor, r_kept)
+            r_blocks += (delta[self.var_columns][:, np.newaxis, :] @ coupling)[:, 0]
+            delta[self.blocks.T] = inverse(r_blocks)
+            return delta[:-1]
+
+        return solve
+
+
+def _cholesky_solve(factor, rhs):
+    solution, info = _potrs(factor, rhs, lower=True)
+    if info:
+        raise np.linalg.LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
+    return solution
 
 
 def _step(b, objective, z, slacks, lam, mu, f_value, grad, hess_free, options, kkt):
-    """One primal-dual Newton step at barrier weight ``mu`` from ``z``, where
-    the objective has value ``f_value``, full gradient ``grad`` and free-block
-    Hessian ``hess_free``; ``kkt`` holds ``C``, ``C^T`` and the free slice.
-    Returns the new ``(z, b - C z, lam)``, or None when the line search finds
-    no acceptable step."""
+    """One Mehrotra predictor-corrector step at barrier weight ``mu`` from
+    ``z``, where the objective has value ``f_value``, full gradient ``grad``
+    and free-block Hessian ``hess_free``; ``kkt`` holds ``C``, ``C^T`` and
+    the free slice.  The predictor, the corrector and, when the corrector
+    does not descend on ``phi_mu``, the plain Newton step share one
+    factorization (see the module docstring).  Returns the new ``(z, b - C
+    z, lam)``, or None when the line search finds no acceptable step."""
     inv_s = 1.0 / slacks
-    grad_phi = -grad + mu * (kkt.CT @ inv_s)
-    delta, dec_sq = kkt.step(lam * inv_s, -hess_free, -grad_phi, options.reg_floor)
-    if not np.isfinite(dec_sq):
-        raise np.linalg.LinAlgError("Newton decrement is not finite")
+    d_row = lam * inv_s
+    solve = kkt.factor(d_row, -hess_free, options.reg_floor)
 
+    # Predictor: the affine step (mu = 0) and the complementarity it reaches
+    # at its largest primal and dual steps to the boundary; q is the relative
+    # slack decrease, so the slack step is -q s and the dual step lam (q - 1).
+    q = (kkt.C @ solve(grad)) * inv_s
+    alpha_p = 1.0 / max(1.0, q.max())
+    alpha_d = 1.0 / max(1.0, 1.0 - q.min())
+    s_lam = slacks * lam
+    mu_cur = s_lam.sum() / slacks.size
+    mu_aff = (s_lam * (1.0 - alpha_p * q) * (1.0 + alpha_d * (q - 1.0))).sum() / slacks.size
+    # Mehrotra's centering target, never below the stage's mu, and the
+    # corrector with the second-order term of the affine step.
+    mu_target = min(mu_cur, max(mu, (mu_aff / mu_cur) ** 3 * mu_cur))
+    target = mu_target * inv_s + lam * q * (q - 1.0)
+    delta = solve(grad - kkt.CT @ target)
     step_dir = kkt.C @ delta  # the slack step is -step_dir
-    increasing = step_dir > 0.0
-    alpha = min(1.0, 0.99 * float(np.min(slacks[increasing] / step_dir[increasing], initial=np.inf)))
-    phi_here = -f_value - mu * float(np.sum(np.log(slacks)))
+    slope = mu * (inv_s @ step_dir) - grad @ delta   # d phi_mu / d alpha at alpha = 0
+    if not np.isfinite(slope):
+        raise np.linalg.LinAlgError("Newton step is not finite")
+    if slope >= 0.0:
+        # Not a descent direction for phi_mu: take the plain Newton step at mu.
+        target = mu * inv_s
+        delta = solve(grad - kkt.CT @ target)
+        step_dir = kkt.C @ delta
+        slope = mu * (inv_s @ step_dir) - grad @ delta
+
+    alpha = 0.99 / max(0.99, (step_dir * inv_s).max())
+    phi_here = -f_value - mu * np.log(slacks).sum()
     while alpha >= 1e-16:
         z_new = z + alpha * delta
         s_new = slacks - alpha * step_dir
-        if np.min(s_new) > 0.0:
+        if s_new.min() > 0.0:
             try:
-                phi_new = -objective.value(z_new[kkt.free]) - mu * float(np.sum(np.log(s_new)))
+                phi_new = -objective.value(z_new[kkt.free]) - mu * np.log(s_new).sum()
             except DomainError:
                 phi_new = np.inf
-            if phi_new <= phi_here - options.armijo * alpha * dec_sq:  # dec_sq = -grad_phi . delta
+            if phi_new <= phi_here + options.armijo * alpha * slope:
                 break
         alpha *= options.backtrack
     else:
         return None
 
-    # Dual step toward mu / s along the linearized complementarity, kept
+    # Dual step toward the target along the linearized complementarity, kept
     # positive by the fraction-to-boundary rule, then held within a factor
     # kappa of the primal estimate mu / s (Waechter & Biegler 2006, eq. 16).
     s_new = b - kkt.C @ z_new
-    d_lam = mu * inv_s - lam + lam * inv_s * step_dir
-    falling = d_lam < 0.0
-    alpha_lam = min(1.0, 0.99 * float(np.min(lam[falling] / -d_lam[falling], initial=np.inf)))
-    lam = np.clip(lam + alpha_lam * d_lam, mu / (_KAPPA * s_new), _KAPPA * mu / s_new)
+    d_lam = target - lam + d_row * step_dir
+    alpha_lam = 0.99 / max(0.99, -(d_lam / lam).min())
+    lam = np.minimum(np.maximum(lam + alpha_lam * d_lam, mu / (_KAPPA * s_new)), _KAPPA * mu / s_new)
     return z_new, s_new, lam
 
 
@@ -426,8 +490,8 @@ def maximize(
         f_value, grad_free, hess_free = objective.value_grad_hess(z[free])
         grad = np.zeros(layout.n)
         grad[free] = grad_free
-        scale = 1.0 + float(np.max(np.abs(grad_free), initial=0.0))
-        stationarity = float(np.max(np.abs(grad - kkt.CT @ lam)))
+        scale = 1.0 + float(np.abs(grad_free).max(initial=0.0))
+        stationarity = float(np.abs(grad - kkt.CT @ lam).max())
         dual = stationarity / scale
         if float(slacks @ lam) < options.gap_tol and dual <= options.gap_tol:
             status = OPTIMAL
@@ -437,7 +501,7 @@ def maximize(
         # (Waechter & Biegler 2006, eq. 7) down to its floor.
         while mu > mu_min and (
             steps == options.max_newton
-            or max(dual, float(np.max(np.abs(slacks * lam - mu)))) <= 10.0 * mu
+            or max(dual, float(np.abs(slacks * lam - mu).max())) <= 10.0 * mu
         ):
             stage_objectives.append(objective.value(z[free]))
             mu = max(mu_min, min(options.mu_factor * mu, mu**1.5))
@@ -469,7 +533,7 @@ def maximize(
     )
     if status == OPTIMAL:
         # kkt_residual at (z, lam), from the loop's last gradient and slacks.
-        residual = max(stationarity, float(np.max(lam * slacks)))
+        residual = max(stationarity, float((lam * slacks).max()))
         result.kkt_residual = residual
         if residual > options.kkt_tol * scale:
             result.status = NUMERICAL_FAILURE

@@ -14,6 +14,9 @@ without touching the package's code paths, trading speed for obviousness:
   the box, by an LP solved with HiGHS.
 * ``reach_set``: center and generators of a zonotope after t steps of the
   dynamics, by stepping them one at a time.
+* ``sfg_optimality_gap``: a Frank-Wolfe bound on how far a scaled-template
+  solution is below the optimum, by one LP over every time step solved
+  with HiGHS.
 * ``random_utpd_matrix`` / ``random_full_rank_template``: simple generators
   for test instances.
 """
@@ -28,7 +31,7 @@ from scipy.optimize import linprog
 
 from zonoinv.errors import DimensionError
 from zonoinv.oracle import h_representation
-from zonoinv.zonotope import Zonotope
+from zonoinv.zonotope import Zonotope, volume_exact
 
 
 def taylor_expm(matrix: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -110,6 +113,54 @@ def reach_set(a_matrix, w, center, generators, t: int):
     for _ in range(t):
         c, g = a_matrix @ c + w, a_matrix @ g
     return c, g
+
+
+def _scale_gradient(kind: str, template: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Gradient in the scales of ``ss`` (sum), ``slgs`` (sum of logs) or
+    ``lgv`` (log volume).  The volume is multilinear in the scales, so
+    ``dV/dgamma_k = (V(gamma) - V(gamma with gamma_k = 0)) / gamma_k``."""
+    if kind == "ss":
+        return np.ones_like(gamma)
+    if kind == "slgs":
+        return 1.0 / gamma
+    d = template.shape[0]
+
+    def volume(scales):
+        return volume_exact(Zonotope(np.zeros(d), template * scales))
+
+    full = volume(gamma)
+    without = [volume(np.where(np.arange(gamma.size) == k, 0.0, gamma)) for k in range(gamma.size)]
+    return (full - np.array(without)) / (gamma * full)
+
+
+def sfg_optimality_gap(a_matrix, w, lower, upper, horizon: int, template, scale_floor: float,
+                       kind: str, gamma) -> float:
+    """Frank-Wolfe gap ``max grad^T gamma' - grad^T gamma`` over every
+    feasible ``(c, gamma')``, with ``grad`` the objective's gradient at
+    ``gamma``.
+
+    The objective is concave in the scales, so the gap bounds
+    ``f(opt) - f(gamma)`` from above.  The feasible set is built by stepping
+    the dynamics one t at a time: for t = 0..horizon, ``+-A^t c +
+    |A^t G| gamma'`` stays within ``upper - drift(t)`` and
+    ``drift(t) - lower``, and every scale is at least ``scale_floor``; no
+    row is left out.  One LP, solved with HiGHS."""
+    a_matrix, template = np.asarray(a_matrix, dtype=float), np.asarray(template, dtype=float)
+    w, lower, upper, gamma = (np.asarray(v, dtype=float) for v in (w, lower, upper, gamma))
+    d, p = template.shape
+    power, drift = np.eye(d), np.zeros(d)
+    rows, rhs = [], []
+    for _ in range(horizon + 1):
+        spread = np.abs(power @ template)
+        rows += [np.hstack([power, spread]), np.hstack([-power, spread])]
+        rhs += [upper - drift, drift - lower]
+        power, drift = a_matrix @ power, a_matrix @ drift + w
+    grad = _scale_gradient(kind, template, gamma)
+    res = linprog(np.concatenate([np.zeros(d), -grad]), A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+                  bounds=[(None, None)] * d + [(scale_floor, None)] * p, method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"Frank-Wolfe LP failed: {res.message}")
+    return -float(res.fun) - float(grad @ gamma)
 
 
 def brute_force_zonotope_volume_2d(center: np.ndarray, generators: np.ndarray) -> float:
